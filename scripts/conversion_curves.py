@@ -6,7 +6,7 @@ Usage: python scripts/conversion_curves.py [--rho 0.5] [--points 15]
 import argparse
 import math
 
-from cdpacct import ZcdpParams, delta_exact_gaussian, zcdp_to_dp_refined
+from cdpacct import ZcdpParams, delta_exact_gaussian, delta_of_eps, zcdp_to_dp_refined
 
 
 def main() -> None:
@@ -21,7 +21,7 @@ def main() -> None:
     print(f"{'eps':>8}  {'simple':>12}  {'refined':>12}  {'exact':>12}")
     for i in range(args.points):
         eps = lo + (hi - lo) * i / (args.points - 1)
-        simple = math.exp(-((eps - args.rho) ** 2) / (4.0 * args.rho))
+        simple = delta_of_eps(params, eps, "simple")
         refined = zcdp_to_dp_refined(params, eps)
         exact = delta_exact_gaussian(args.rho, eps)
         print(f"{eps:8.3f}  {simple:12.4e}  {refined:12.4e}  {exact:12.4e}")

@@ -6,6 +6,8 @@ privacy notions, information-theoretic bounds, and brute-force oracles
 that double-check every closed form.
 """
 
+import types
+
 from .accountant import (
     DpPoint,
     LedgerEntry,
@@ -14,6 +16,7 @@ from .accountant import (
     advanced_composition_baseline,
     approx_zcdp_to_dp,
     compose,
+    delta_of_eps,
     dp_composition_bound,
     dp_composition_refined,
     dp_family_to_zcdp,
@@ -21,6 +24,7 @@ from .accountant import (
     dp_to_approx_zcdp_maxdiv,
     entry_to_zcdp,
     eps_for_delta,
+    eps_of_delta,
     group_privacy,
     mcdp_to_zcdp,
     pure_dp_to_zcdp,
@@ -88,74 +92,10 @@ from .oracle import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA_GRID",
-    "DpPoint",
-    "ExpMechSpec",
-    "FiniteChannel",
-    "GaussianMech",
-    "LedgerEntry",
-    "McEstimate",
-    "McdpParams",
-    "MetricPointSet",
-    "MultiGaussianMech",
-    "OutcomeDist",
-    "PackingRecord",
-    "PinskerRecord",
-    "PrivacyLossDist",
-    "PurifiedMechanism",
-    "QuadratureSpec",
-    "ViolationRecord",
-    "ZcdpParams",
-    "advanced_composition_baseline",
-    "aligned_probs",
-    "approx_randomized_response",
-    "approx_zcdp_to_dp",
-    "calibrate_sigma_for_dp",
-    "calibrate_sigma_for_rho",
-    "certify_zcdp",
-    "channel_pushforward",
-    "compose",
-    "delta_exact_gaussian",
-    "delta_from_pld",
-    "delta_gaussian_mc",
-    "divergence_from_loss",
-    "dp_composition_bound",
-    "dp_composition_refined",
-    "dp_family_to_zcdp",
-    "dp_to_approx_zcdp",
-    "dp_to_approx_zcdp_maxdiv",
-    "entry_to_zcdp",
-    "eps_for_delta",
-    "exponential_mechanism",
-    "gaussian_pld_discretized",
-    "gaussian_renyi",
-    "gaussian_renyi_quadrature",
-    "gaussian_rho",
-    "greedy_packing_net",
-    "group_privacy",
-    "hyperbolic_inequality_check",
-    "loss_tail_bound",
-    "mc_divergence_estimate",
-    "mcdp_gaussian_check",
-    "mcdp_postprocess_violation",
-    "mcdp_to_zcdp",
-    "mi_bound",
-    "mixture",
-    "mutual_information",
-    "normal_upper_tail",
-    "packing_lower_bound",
-    "pinsker_check",
-    "privacy_loss_dist",
-    "product",
-    "product_channel",
-    "pure_dp_to_zcdp",
-    "purify",
-    "pushforward",
-    "randomized_response",
-    "renyi_divergence",
-    "thresholded_gaussian",
-    "zcdp_to_dp_refined",
-    "zcdp_to_dp_simple",
-    "zcdp_to_mcdp",
-]
+# The public names imported above; importing them also binds the
+# submodules here, which are not part of the API.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

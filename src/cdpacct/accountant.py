@@ -8,9 +8,11 @@ are probabilities and get clamped to [0, 1] after every closed form.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,11 @@ class ZcdpParams:
             raise ValueError("rho must be nonnegative")
         if not 0.0 <= self.delta_approx <= 1.0:
             raise ValueError("delta_approx must be in [0, 1]")
+
+    @functools.cached_property
+    def _plain(self) -> ZcdpParams:
+        # The budget with delta_approx = 0, built once: curves convert it per point.
+        return self if self.delta_approx == 0.0 else ZcdpParams(self.xi, self.rho)
 
 
 @dataclass(frozen=True)
@@ -170,8 +177,12 @@ def zcdp_to_dp_simple(params: ZcdpParams, delta: float) -> DpPoint:
         raise ValueError("delta must be in (0, 1)")
     if params.delta_approx != 0.0:
         raise ValueError("simple conversion applies to plain budgets only")
-    eps = params.xi + params.rho + math.sqrt(4.0 * params.rho * math.log(1.0 / delta))
-    return DpPoint(eps, delta)
+    return DpPoint(eps_of_delta(params, delta, "simple"), delta)
+
+
+def _simple_tail(xi: float, rho: float, eps: float) -> float:
+    """The simple conversion's delta at eps >= xi + rho, for rho > 0."""
+    return math.exp(-((eps - xi - rho) ** 2) / (4.0 * rho))
 
 
 def zcdp_to_dp_refined(params: ZcdpParams, eps: float) -> float:
@@ -190,7 +201,7 @@ def zcdp_to_dp_refined(params: ZcdpParams, eps: float) -> float:
     if eps < xi + rho:
         raise ValueError("refined conversion needs eps >= xi + rho")
     a = (eps - xi - rho) / (2.0 * rho)
-    lead = math.exp(-((eps - xi - rho) ** 2) / (4.0 * rho))
+    lead = _simple_tail(xi, rho, eps)
     branches = (
         1.0,
         math.sqrt(math.pi * rho),
@@ -270,14 +281,43 @@ def approx_zcdp_to_dp(params: ZcdpParams, eps: float) -> DpPoint:
     """
     if params.rho == 0.0:
         return DpPoint(params.xi, params.delta_approx)
-    plain = ZcdpParams(params.xi, params.rho)
-    d = zcdp_to_dp_refined(plain, eps)
+    d = zcdp_to_dp_refined(params._plain, eps)
     da = params.delta_approx
     return DpPoint(eps, min(1.0, da + (1.0 - da) * d))
 
 
+def bisect_monotone(
+    f: Callable[[float], float],
+    target: float,
+    good: float,
+    bad: float,
+    *,
+    atol: float = 0.0,
+    rtol: float = 0.0,
+    max_steps: int | None = None,
+) -> float:
+    """Halve a bracket with f(good) <= target < f(bad), f monotone; returns the final good end.
+
+    Stops when the bracket is no wider than max(atol, rtol * |good|), after
+    max_steps steps, or when the midpoint rounds to an endpoint (above 2^19,
+    adjacent floats are more than 1e-10 apart).
+    """
+    for _ in itertools.count() if max_steps is None else range(max_steps):
+        width = abs(good - bad)
+        if width <= atol or (rtol and width <= rtol * abs(good)):
+            break
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        if f(mid) <= target:
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 def eps_for_delta(params: ZcdpParams, delta: float) -> float:
-    """Smallest eps (to 1e-10) whose converted delta meets the target.
+    """Smallest eps (to 1e-10, or one ulp where wider) whose converted delta meets the target.
 
     Uses the refined conversion, which is strictly decreasing in eps on its
     domain, so plain bisection applies.  Returns +inf when the approximate
@@ -291,7 +331,7 @@ def eps_for_delta(params: ZcdpParams, delta: float) -> float:
     target = (delta - da) / (1.0 - da)
     if params.rho == 0.0:
         return params.xi
-    plain = ZcdpParams(params.xi, params.rho)
+    plain = params._plain
     lo = params.xi + params.rho
     if zcdp_to_dp_refined(plain, lo) <= target:
         return lo
@@ -300,13 +340,72 @@ def eps_for_delta(params: ZcdpParams, delta: float) -> float:
     while zcdp_to_dp_refined(plain, hi) > target:
         step *= 2.0
         hi = lo + step
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if zcdp_to_dp_refined(plain, mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect_monotone(functools.partial(zcdp_to_dp_refined, plain), target, hi, lo, atol=1e-10)
+
+
+CURVE_METHODS = ("simple", "refined", "exact_gaussian")
+
+
+def delta_of_eps(params: ZcdpParams, eps: float, method: str = "refined") -> float:
+    """delta at eps by one of CURVE_METHODS, as delta_approx + (1 - delta_approx) * delta'.
+
+    delta' is 1 below eps = xi + rho for the closed forms; "exact_gaussian"
+    is the exact curve of a Gaussian mechanism with this rho (Balle & Wang
+    2018), meaningful for xi = 0 only.
+    """
+    xi, rho, da = params.xi, params.rho, params.delta_approx
+    if method == "exact_gaussian":
+        base = _oracle().delta_exact_gaussian(rho, eps)
+    elif method not in CURVE_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
+    elif rho == 0.0:
+        base = 0.0 if eps >= xi else 1.0
+    elif eps < xi + rho:
+        base = 1.0
+    elif method == "simple":
+        base = _simple_tail(xi, rho, eps)
+    else:
+        base = zcdp_to_dp_refined(params._plain, eps)
+    return min(1.0, da + (1.0 - da) * base)
+
+
+def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> float:
+    """eps at delta by one of CURVE_METHODS; "refined" is eps_for_delta.
+
+    The others invert delta_of_eps at delta' = (delta - delta_approx) /
+    (1 - delta_approx): +inf when delta' <= 0, 0 when delta' >= 1.
+    """
+    if method == "refined":
+        return eps_for_delta(params, delta)
+    if method not in CURVE_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
+    xi, rho, da = params.xi, params.rho, params.delta_approx
+    prime = (delta - da) / (1.0 - da) if da < 1.0 else 1.0
+    if prime <= 0.0:
+        return math.inf
+    if prime >= 1.0:
+        return 0.0
+    if method == "exact_gaussian":
+        exact = _oracle().delta_exact_gaussian
+        if prime >= exact(rho, 0.0):
+            return 0.0
+        hi = 1.0
+        for _ in range(200):
+            if exact(rho, hi) <= prime:
+                break
+            hi *= 2.0
+        exact_at = functools.partial(exact, rho)
+        return bisect_monotone(exact_at, prime, hi, 0.0, atol=1e-12, rtol=1e-12)
+    if rho == 0.0:
+        return xi
+    return xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime))
+
+
+@functools.cache
+def _oracle():
+    from . import oracle  # imports scipy: loaded on first use, not with this module
+
+    return oracle
 
 
 def dp_composition_bound(points: Sequence[DpPoint], delta_prime: float) -> DpPoint:

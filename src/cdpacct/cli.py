@@ -21,13 +21,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
 
 import numpy as np
 
 from . import accountant as acct
-from . import bounds, mechanisms, oracle
+from . import bounds, mechanisms
 from .divergence import OutcomeDist
 from .verify import SUITES, Case, run_suite
 
@@ -55,13 +53,14 @@ def fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _thread_count() -> int:
+def _check_thread_env() -> None:
+    # Only validated: curve points are computed in order, because the work
+    # holds the interpreter lock and a thread pool made curves slower.
     raw = os.environ.get("CDP_ACCT_THREADS", "1")
     try:
-        n = int(raw)
+        int(raw)
     except ValueError:
         raise CliError(EXIT_USAGE, f"CDP_ACCT_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -81,8 +80,12 @@ def load_ledger(path: str) -> list[acct.LedgerEntry]:
             raw = fh.read()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read ledger {path}: {exc}")
+
+    def reject_constant(name: str) -> float:
+        raise CliError(EXIT_USAGE, f"{path}: ledger numbers must be finite, got {name}")
+
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_USAGE, f"{path}:{exc.lineno}: ledger is not valid JSON: {exc.msg}")
     if not isinstance(doc, dict) or "entries" not in doc:
@@ -145,64 +148,6 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _eps_exact_gaussian(eta: float, delta_target: float) -> float:
-    if delta_target >= oracle.delta_exact_gaussian(eta, 0.0):
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if oracle.delta_exact_gaussian(eta, hi) <= delta_target:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if oracle.delta_exact_gaussian(eta, mid) <= delta_target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return hi
-
-
-def _delta_of_eps_fn(params: acct.ZcdpParams, method: str) -> Callable[[float], float]:
-    xi, rho, da = params.xi, params.rho, params.delta_approx
-    plain = acct.ZcdpParams(xi, rho)
-
-    def base(eps: float) -> float:
-        if method == "exact_gaussian":
-            return oracle.delta_exact_gaussian(rho, eps)
-        if rho == 0.0:
-            return 0.0 if eps >= xi else 1.0
-        if eps < xi + rho:
-            return 1.0
-        if method == "simple":
-            return min(1.0, math.exp(-((eps - xi - rho) ** 2) / (4.0 * rho)))
-        return acct.zcdp_to_dp_refined(plain, eps)
-
-    return lambda eps: min(1.0, da + (1.0 - da) * base(eps))
-
-
-def _eps_of_delta_fn(params: acct.ZcdpParams, method: str) -> Callable[[float], float]:
-    xi, rho, da = params.xi, params.rho, params.delta_approx
-
-    def value(delta: float) -> float:
-        if method == "refined":
-            return acct.eps_for_delta(params, delta)
-        prime = (delta - da) / (1.0 - da) if da < 1.0 else 1.0
-        if prime <= 0.0:
-            return math.inf
-        if prime >= 1.0:
-            return 0.0
-        if method == "exact_gaussian":
-            return _eps_exact_gaussian(rho, prime)
-        if rho == 0.0:
-            return xi
-        return xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime))
-
-    return value
-
-
 def cmd_curve(args: argparse.Namespace) -> int:
     entries = load_ledger(args.ledger)
     params = acct.compose([acct.entry_to_zcdp(e) for e in entries])
@@ -217,17 +162,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
                 EXIT_USAGE,
                 "exact_gaussian requires a ledger with xi=0 and rho>0",
             )
-    if args.target == "delta_of_eps":
-        evaluate = _delta_of_eps_fn(params, args.method)
-    else:
-        evaluate = _eps_of_delta_fn(params, args.method)
+    evaluate = acct.delta_of_eps if args.target == "delta_of_eps" else acct.eps_of_delta
     xs = [float(x) for x in np.linspace(lo, hi, n)]
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(evaluate, xs))
-    else:
-        values = [evaluate(x) for x in xs]
+    _check_thread_env()
+    values = [evaluate(params, x, args.method) for x in xs]
     lines = ["x,value,method"]
     lines.extend(f"{fmt(x)},{fmt(v)},{args.method}" for x, v in zip(xs, values))
     _emit("\n".join(lines) + "\n", args.out)
@@ -305,11 +243,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     elif have == (True, False, True):
         params = acct.ZcdpParams(0.0, args.rho)
         refined = acct.zcdp_to_dp_refined(params, args.eps) if args.eps >= args.rho else 1.0
-        implied = (
-            math.exp(-((args.eps - args.rho) ** 2) / (4.0 * args.rho))
-            if args.rho > 0.0 and args.eps >= args.rho
-            else 1.0
-        )
+        implied = acct.delta_of_eps(params, args.eps, "simple")
         lines.append(f"zcdp rho={fmt(args.rho)} at eps={fmt(args.eps)}")
         lines.append(f"delta (refined): {fmt(refined)}")
         lines.append(f"delta (simple): {fmt(implied)}")
@@ -414,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=None)
         p.add_argument(
             "--method",
-            choices=("simple", "refined", "exact_gaussian"),
+            choices=acct.CURVE_METHODS,
             default="refined",
         )
         p.add_argument("--grid", type=str, default="0.5:5.0:10", help="LO:HI:N")
@@ -470,6 +404,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:
+        # Overflow or division by zero: the arguments lie outside what
+        # floating point can represent along the way.
+        name = type(exc).__name__
+        print(f"error: arguments outside floating-point range ({name})", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from scipy.special import logsumexp
 
-from .accountant import ZcdpParams, zcdp_to_dp_refined
+from .accountant import ZcdpParams, bisect_monotone, zcdp_to_dp_refined
 from .divergence import OutcomeDist
 
 
@@ -132,13 +132,7 @@ def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> floa
             lo *= 0.5
             if lo < 1e-300:
                 raise ValueError("target (eps, delta) is unsatisfiable in float range")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if delta_at(mid) <= delta:
-                lo = mid
-            else:
-                hi = mid
-        rho_star = lo  # admissible by construction
+        rho_star = bisect_monotone(delta_at, delta, lo, hi, max_steps=200)
     return sensitivity / math.sqrt(2.0 * rho_star)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtr
 
-from .divergence import OutcomeDist, PrivacyLossDist, renyi_divergence
+from .divergence import OutcomeDist, PrivacyLossDist, aligned_probs, renyi_divergence
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,21 @@ def _log_simpson(log_f, lo: float, hi: float, panels: int) -> float:
     return float(logsumexp(logs, b=weights)) + math.log(h / 3.0)
 
 
+def _converged_log_simpson(
+    log_f, lo: float, hi: float, abs_tol: float, divisor: float = 1.0
+) -> float:
+    """_log_simpson / divisor, doubling the panels from 64 until two successive values agree."""
+    panels = 64
+    prev = _log_simpson(log_f, lo, hi, panels) / divisor
+    while panels <= 2**20:
+        panels *= 2
+        cur = _log_simpson(log_f, lo, hi, panels) / divisor
+        if abs(cur - prev) <= abs_tol:
+            return cur
+        prev = cur
+    raise ArithmeticError("quadrature did not converge to abs_tol")
+
+
 def gaussian_renyi_quadrature(
     shift: float, sigma: float, alpha: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
@@ -73,16 +88,7 @@ def gaussian_renyi_quadrature(
     w = spec.half_width_sigmas * sigma
     lo = min(0.0, shift, center) - w
     hi = max(0.0, shift, center) + w
-
-    panels = 64
-    prev = _log_simpson(log_f, lo, hi, panels) / (alpha - 1.0)
-    while panels <= 2**20:
-        panels *= 2
-        cur = _log_simpson(log_f, lo, hi, panels) / (alpha - 1.0)
-        if abs(cur - prev) <= spec.abs_tol:
-            return cur
-        prev = cur
-    raise ArithmeticError("quadrature did not converge to abs_tol")
+    return _converged_log_simpson(log_f, lo, hi, spec.abs_tol, alpha - 1.0)
 
 
 def delta_from_pld(z: PrivacyLossDist, eps: float) -> float:
@@ -91,7 +97,6 @@ def delta_from_pld(z: PrivacyLossDist, eps: float) -> float:
     An infinite loss contributes its full mass.  Nonincreasing in eps; at
     eps = 0 this is the total variation distance of the generating pair.
     """
-    total = 0.0
     acc = []
     for loss, prob in zip(z.losses, z.probs):
         if prob == 0.0:
@@ -238,17 +243,9 @@ def mcdp_gaussian_check(
     w = spec.half_width_sigmas * sigma
     lo = min(1.0, center) - w
     hi = max(1.0, center) + w
-    panels = 64
-    prev = _log_simpson(log_f, lo, hi, panels)
-    while panels <= 2**20:
-        panels *= 2
-        cur = _log_simpson(log_f, lo, hi, panels)
-        if abs(cur - prev) <= spec.abs_tol:
-            lhs = math.exp(cur)
-            rhs = _exp(2.0 * lam * lam / (sigma * sigma))
-            return ViolationRecord(lhs, rhs, lhs > rhs * (1.0 + 1e-9))
-        prev = cur
-    raise ArithmeticError("quadrature did not converge to abs_tol")
+    lhs = math.exp(_converged_log_simpson(log_f, lo, hi, spec.abs_tol))
+    rhs = _exp(2.0 * lam * lam / (sigma * sigma))
+    return ViolationRecord(lhs, rhs, lhs > rhs * (1.0 + 1e-9))
 
 
 def hyperbolic_inequality_check(x: float, y: float) -> bool:
@@ -277,8 +274,6 @@ def pinsker_check(p: OutcomeDist, q: OutcomeDist, f) -> PinskerRecord:
     vals = [float(lookup(y)) for y in p.outcomes]
     if any(abs(v) > 1.0 for v in vals):
         raise ValueError("plain check requires |f| <= 1 on all outcomes")
-    from .divergence import aligned_probs
-
     qp = aligned_probs(p, q)
     gap = abs(
         math.fsum(pi * v for pi, v in zip(p.probs, vals))
@@ -318,8 +313,6 @@ def mc_divergence_estimate(
         raise ValueError("estimator requires finite alpha > 1")
     if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
-    from .divergence import aligned_probs
-
     q_aligned = aligned_probs(p, q)
     rng = np.random.default_rng(seed)
     p_counts = rng.multinomial(n_samples, np.asarray(p.probs) / math.fsum(p.probs))

@@ -126,7 +126,7 @@ def _suite_conversions(seed: int) -> list[Case]:
             eps = float(eps)
             refined = acct.zcdp_to_dp_refined(params, eps)
             exact = oracle.delta_exact_gaussian(rho, eps)
-            simple_implied = math.exp(-((eps - rho) ** 2) / (4.0 * rho))
+            simple_implied = acct.delta_of_eps(params, eps, "simple")
             worst_exact = max(worst_exact, exact - refined)
             worst_refined = max(worst_refined, refined - simple_implied)
     cases.append(Case("exact_below_refined", worst_exact <= 1e-12, worst_exact, 1e-12))

@@ -14,6 +14,7 @@ from cdpacct import (
     advanced_composition_baseline,
     approx_zcdp_to_dp,
     compose,
+    delta_of_eps,
     dp_composition_bound,
     dp_composition_refined,
     dp_family_to_zcdp,
@@ -21,6 +22,7 @@ from cdpacct import (
     dp_to_approx_zcdp_maxdiv,
     entry_to_zcdp,
     eps_for_delta,
+    eps_of_delta,
     group_privacy,
     mcdp_to_zcdp,
     pure_dp_to_zcdp,
@@ -28,6 +30,7 @@ from cdpacct import (
     zcdp_to_dp_simple,
     zcdp_to_mcdp,
 )
+from cdpacct.accountant import bisect_monotone
 
 
 class TestParamTypes:
@@ -311,6 +314,79 @@ class TestEpsForDelta:
 
     def test_zero_rho_returns_xi(self):
         assert eps_for_delta(ZcdpParams(0.7, 0.0), 1e-6) == 0.7
+
+
+class TestBisectMonotone:
+    def test_rising_function(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -x * x
+
+        root = bisect_monotone(f, -2.0, 2.0, 0.0, atol=1e-12)
+        assert -root * root <= -2.0 and root - math.sqrt(2.0) <= 1e-12
+        assert len(calls) <= 45
+
+    def test_falling_function(self):
+        root = bisect_monotone(lambda x: x * x, 2.0, 0.0, 2.0, atol=1e-12)
+        assert root * root <= 2.0 and math.sqrt(2.0) - root <= 1e-12
+
+    def test_relative_tolerance(self):
+        root = bisect_monotone(lambda x: -x, -3e6, 4e6, 0.0, rtol=1e-12)
+        assert 3e6 <= root <= 3e6 * (1.0 + 1e-12)
+
+    def test_step_cap(self):
+        root = bisect_monotone(lambda x: -x, -0.3, 1.0, 0.0, max_steps=3)
+        assert root == 0.375
+
+    def test_stops_when_bracket_cannot_be_split(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1e6 + 0.3 - x
+
+        # Near 1e6 adjacent floats are 1.16e-10 apart, so atol=1e-10 is never
+        # met; max_steps only keeps a regression from hanging the suite.
+        root = bisect_monotone(f, 0.0, 2e6, 0.0, atol=1e-10, max_steps=10_000)
+        assert root == 1e6 + 0.3
+        assert len(calls) < 100
+
+
+class TestCurveEvaluators:
+    def test_refined_matches_the_conversions(self):
+        params = ZcdpParams(0.1, 0.5, 1e-7)
+        for eps in (0.7, 1.5, 4.0):
+            assert delta_of_eps(params, eps) == approx_zcdp_to_dp(params, eps).delta
+        for delta in (1e-6, 1e-3):
+            assert eps_of_delta(params, delta) == eps_for_delta(params, delta)
+
+    def test_simple_inverts_simple(self):
+        params = ZcdpParams(0.2, 0.5)
+        for delta in (1e-8, 1e-4, 0.1):
+            eps = eps_of_delta(params, delta, "simple")
+            assert eps == zcdp_to_dp_simple(params, delta).eps
+            assert delta_of_eps(params, eps, "simple") == pytest.approx(delta, rel=1e-9)
+
+    def test_exact_gaussian_inverts_exact_gaussian(self):
+        params = ZcdpParams(0.0, 0.5)
+        for delta in (1e-8, 1e-4, 0.1):
+            eps = eps_of_delta(params, delta, "exact_gaussian")
+            assert delta_of_eps(params, eps, "exact_gaussian") <= delta
+            assert eps <= eps_of_delta(params, delta, "refined")
+
+    def test_below_the_budget_delta_is_one(self):
+        params = ZcdpParams(0.3, 0.5)
+        assert delta_of_eps(params, 0.7, "simple") == 1.0
+        assert delta_of_eps(params, 0.7, "refined") == 1.0
+
+    def test_unknown_method_rejected(self):
+        params = ZcdpParams(0.0, 0.5)
+        with pytest.raises(ValueError):
+            delta_of_eps(params, 1.0, "exact")
+        with pytest.raises(ValueError):
+            eps_of_delta(params, 1e-6, "exact")
 
 
 class TestCompositionCorollaries:

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cdpacct.cli import fmt, main
+import cdpacct
+from cdpacct import ZcdpParams, zcdp_to_dp_refined
+from cdpacct.cli import REPORT_DELTAS, fmt, main
 
 TWO_GAUSSIANS = {
     "entries": [
@@ -93,6 +99,18 @@ class TestCompose:
         # rho: 0.5 + 0.125 + 0.2 + 0.5; xi: 0.1 + 0.5
         assert "rho=1.32500000000e+00" in out
         assert "xi=6.00000000000e-01" in out
+
+
+    @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_constant_rejected(self, tmp_path, capsys, constant):
+        path = write_ledger(
+            tmp_path,
+            '{"entries": [{"kind": "gaussian", "params": {"sensitivity": %s, "sigma": 1.0}}]}'
+            % constant,
+        )
+        assert main(["compose", "--ledger", path]) == 2
+        err = capsys.readouterr().err
+        assert f"must be finite, got {constant}" in err and len(err.splitlines()) == 1
 
 
 class TestCurve:
@@ -408,3 +426,76 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+
+def run_cli(args):
+    """Run the CLI in a fresh interpreter: a hang fails the test instead of stalling the suite."""
+    src = str(Path(cdpacct.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cdpacct.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+
+
+def assert_sound_eps(printed, rho, delta):
+    # The printed eps is rounded to 12 digits, so the computed eps lies within
+    # a factor 1 +- 1e-11 of it; the refined bound falls as eps rises.
+    params = ZcdpParams(0.0, rho)
+    assert zcdp_to_dp_refined(params, float(printed) * (1.0 + 1e-11)) <= delta
+    assert zcdp_to_dp_refined(params, float(printed) * (1.0 - 1e-11)) > delta
+
+
+def assert_sound_report(stdout, rho):
+    points = [line for line in stdout.splitlines() if line.startswith("dp point")]
+    assert len(points) == len(REPORT_DELTAS)
+    for delta, line in zip(REPORT_DELTAS, points):
+        assert_sound_eps(line.rsplit("eps=", 1)[1], rho, delta)
+
+
+class TestLargeBudgets:
+    """Budgets whose eps lies above 2^19, where adjacent floats are more than 1e-10 apart."""
+
+    def test_convert(self):
+        proc = run_cli(["convert", "--rho", "1e6", "--delta", "1e-6"])
+        assert proc.returncode == 0, proc.stderr
+        assert_sound_eps(proc.stdout.rsplit("eps (refined): ", 1)[1], 1e6, 1e-6)
+
+    def test_group(self):
+        proc = run_cli(["group", "--rho", "0.1", "--k", "3000"])
+        assert proc.returncode == 0, proc.stderr
+        assert_sound_report(proc.stdout, 0.1 * 3000 * 3000)
+
+    def test_compose(self, tmp_path):
+        path = write_ledger(
+            tmp_path, {"entries": [{"kind": "zcdp", "params": {"xi": 0, "rho": 1e6, "delta": 0}}]}
+        )
+        proc = run_cli(["compose", "--ledger", path])
+        assert proc.returncode == 0, proc.stderr
+        assert_sound_report(proc.stdout, 1e6)
+
+
+class TestOutOfRangeArithmetic:
+    """Overflow and underflow end in a one-line usage error, not a traceback."""
+
+    def check(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_convert_overflow(self, capsys):
+        self.check(["convert", "--rho", "1e300", "--delta", "1e-6"], capsys)
+
+    def test_ledger_overflow(self, tmp_path, capsys):
+        path = write_ledger(
+            tmp_path,
+            {"entries": [{"kind": "gaussian", "params": {"sensitivity": 1e200, "sigma": 1e-200}}]},
+        )
+        self.check(["compose", "--ledger", path], capsys)
+
+    def test_calibrate_underflow(self, capsys):
+        argv = ["calibrate", "--sensitivity", "1e-320", "--eps", "1", "--delta", "1e-6"]
+        self.check(argv, capsys)
