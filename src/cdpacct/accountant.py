@@ -28,10 +28,10 @@ class ZcdpParams:
     delta_approx: float = 0.0
 
     def __post_init__(self) -> None:
-        if math.isnan(self.xi) or self.xi < 0.0:
-            raise ValueError("xi must be nonnegative")
-        if math.isnan(self.rho) or self.rho < 0.0:
-            raise ValueError("rho must be nonnegative")
+        if not 0.0 <= self.xi < math.inf:
+            raise ValueError("xi must be nonnegative and finite")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError("rho must be nonnegative and finite")
         if not 0.0 <= self.delta_approx <= 1.0:
             raise ValueError("delta_approx must be in [0, 1]")
 
@@ -104,8 +104,8 @@ class LedgerEntry:
             value = params[name]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"field {name!r} must be a number, got {value!r}")
-            if math.isnan(float(value)):
-                raise ValueError(f"field {name!r} must not be NaN")
+            if not -math.inf < float(value) < math.inf:
+                raise ValueError(f"field {name!r} must be finite, got {value!r}")
         extras = set(params) - set(required)
         if extras:
             raise ValueError(f"entry kind {self.kind!r} has unknown fields {sorted(extras)}")
@@ -316,6 +316,23 @@ def bisect_monotone(
     return good
 
 
+def geometric_scan(
+    f: Callable[[float], float], target: float, base: float, step: float, factor: float = 2.0
+) -> float:
+    """First x = base + step * factor**i (i = 0, 1, ...) with f(x) <= target, f monotone.
+
+    Grows (factor > 1) or shrinks (factor < 1) a bracket end for
+    bisect_monotone.  Raises ValueError once the step leaves the positive
+    finite floats without meeting the target.
+    """
+    while 0.0 < step < math.inf:
+        x = base + step
+        if f(x) <= target:
+            return x
+        step *= factor
+    raise ValueError("no value in floating-point range meets the target")
+
+
 def eps_for_delta(params: ZcdpParams, delta: float) -> float:
     """Smallest eps (to 1e-10, or one ulp where wider) whose converted delta meets the target.
 
@@ -335,12 +352,9 @@ def eps_for_delta(params: ZcdpParams, delta: float) -> float:
     lo = params.xi + params.rho
     if zcdp_to_dp_refined(plain, lo) <= target:
         return lo
-    step = max(1.0, math.sqrt(params.rho))
-    hi = lo + step
-    while zcdp_to_dp_refined(plain, hi) > target:
-        step *= 2.0
-        hi = lo + step
-    return bisect_monotone(functools.partial(zcdp_to_dp_refined, plain), target, hi, lo, atol=1e-10)
+    refined = functools.partial(zcdp_to_dp_refined, plain)
+    hi = geometric_scan(refined, target, lo, max(1.0, math.sqrt(params.rho)))
+    return bisect_monotone(refined, target, hi, lo, atol=1e-10)
 
 
 CURVE_METHODS = ("simple", "refined", "exact_gaussian")
@@ -351,11 +365,11 @@ def delta_of_eps(params: ZcdpParams, eps: float, method: str = "refined") -> flo
 
     delta' is 1 below eps = xi + rho for the closed forms; "exact_gaussian"
     is the exact curve of a Gaussian mechanism with this rho (Balle & Wang
-    2018), meaningful for xi = 0 only.
+    2018) and raises ValueError unless xi = 0 and rho > 0.
     """
     xi, rho, da = params.xi, params.rho, params.delta_approx
     if method == "exact_gaussian":
-        base = _oracle().delta_exact_gaussian(rho, eps)
+        base = _exact_gaussian(params)(eps)
     elif method not in CURVE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
     elif rho == 0.0:
@@ -373,32 +387,34 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
     """eps at delta by one of CURVE_METHODS; "refined" is eps_for_delta.
 
     The others invert delta_of_eps at delta' = (delta - delta_approx) /
-    (1 - delta_approx): +inf when delta' <= 0, 0 when delta' >= 1.
+    (1 - delta_approx), and give +inf when delta_approx >= delta.
     """
     if method == "refined":
         return eps_for_delta(params, delta)
     if method not in CURVE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
     xi, rho, da = params.xi, params.rho, params.delta_approx
-    prime = (delta - da) / (1.0 - da) if da < 1.0 else 1.0
-    if prime <= 0.0:
+    exact = _exact_gaussian(params) if method == "exact_gaussian" else None
+    if da >= delta:
         return math.inf
-    if prime >= 1.0:
-        return 0.0
-    if method == "exact_gaussian":
-        exact = _oracle().delta_exact_gaussian
-        if prime >= exact(rho, 0.0):
+    prime = (delta - da) / (1.0 - da)
+    if exact is not None:
+        if prime >= exact(0.0):
             return 0.0
-        hi = 1.0
-        for _ in range(200):
-            if exact(rho, hi) <= prime:
-                break
-            hi *= 2.0
-        exact_at = functools.partial(exact, rho)
-        return bisect_monotone(exact_at, prime, hi, 0.0, atol=1e-12, rtol=1e-12)
+        hi = geometric_scan(exact, prime, 0.0, 1.0)
+        return bisect_monotone(exact, prime, hi, 0.0, atol=1e-12, rtol=1e-12)
     if rho == 0.0:
         return xi
     return xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime))
+
+
+def _exact_gaussian(params: ZcdpParams) -> Callable[[float], float]:
+    """The exact Gaussian delta(eps), which holds only for budgets with xi = 0 and rho > 0."""
+    if params.xi != 0.0 or not params.rho > 0.0:
+        raise ValueError("exact_gaussian requires a ledger with xi=0 and rho>0")
+    return functools.partial(_oracle().delta_exact_gaussian, params.rho)
 
 
 @functools.cache

@@ -22,12 +22,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import accountant as acct
-from . import bounds, mechanisms
-from .divergence import OutcomeDist
-from .verify import SUITES, Case, run_suite
+from . import mechanisms
+from .verify import SUITES, Case, _prior_mi_rows, _rr_product_channel, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -35,6 +32,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 REPORT_DELTAS = (1e-5, 1e-6, 1e-8)
+
+# Most points a curve may have: the grid is checked before any is computed.
+MAX_GRID_POINTS = 1_000_000
 
 
 class CliError(Exception):
@@ -51,6 +51,14 @@ def fmt(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return f"{x:.11e}"
+
+
+def finite_float(text: str) -> float:
+    """argparse type for numeric flags: inf and nan are refused where they enter."""
+    value = float(text)
+    if not -math.inf < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _check_thread_env() -> None:
@@ -143,9 +151,15 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
         raise CliError(EXIT_USAGE, f"grid must look like LO:HI:N, got {spec!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise CliError(EXIT_USAGE, f"grid needs finite LO < HI, got {spec!r}")
-    if n < 2:
-        raise CliError(EXIT_USAGE, f"grid needs at least 2 points, got {n}")
+    if not 2 <= n <= MAX_GRID_POINTS:
+        raise CliError(EXIT_USAGE, f"grid needs 2 to {MAX_GRID_POINTS} points, got {n}")
     return lo, hi, n
+
+
+def grid_points(lo: float, hi: float, n: int) -> list[float]:
+    """The points of np.linspace(lo, hi, n), unless (hi - lo) / (n - 1) underflows to 0."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -156,14 +170,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, "eps_of_delta grid must lie inside (0, 1)")
     if args.target == "delta_of_eps" and lo < 0.0:
         raise CliError(EXIT_USAGE, "delta_of_eps grid must be non-negative")
-    if args.method == "exact_gaussian":
-        if params.xi != 0.0 or params.rho <= 0.0:
-            raise CliError(
-                EXIT_USAGE,
-                "exact_gaussian requires a ledger with xi=0 and rho>0",
-            )
     evaluate = acct.delta_of_eps if args.target == "delta_of_eps" else acct.eps_of_delta
-    xs = [float(x) for x in np.linspace(lo, hi, n)]
+    xs = grid_points(lo, hi, n)
     _check_thread_env()
     values = [evaluate(params, x, args.method) for x in xs]
     lines = ["x,value,method"]
@@ -242,7 +250,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         lines.append(f"eps (refined): {fmt(refined_eps)}")
     elif have == (True, False, True):
         params = acct.ZcdpParams(0.0, args.rho)
-        refined = acct.zcdp_to_dp_refined(params, args.eps) if args.eps >= args.rho else 1.0
+        refined = acct.delta_of_eps(params, args.eps, "refined")
         implied = acct.delta_of_eps(params, args.eps, "simple")
         lines.append(f"zcdp rho={fmt(args.rho)} at eps={fmt(args.eps)}")
         lines.append(f"delta (refined): {fmt(refined)}")
@@ -257,32 +265,19 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_mi_demo(args: argparse.Namespace) -> int:
-    eps = args.eps if args.eps is not None else 0.8
-    n = args.k if args.k is not None else 3
+    eps, n = args.eps, args.k
     if not 1 <= n <= 8:
         raise CliError(EXIT_USAGE, "mi-demo supports --k between 1 and 8")
     if eps <= 0.0:
         raise CliError(EXIT_USAGE, "mi-demo needs --eps > 0")
-    plus, minus = mechanisms.randomized_response(eps)
-    bit = bounds.FiniteChannel((1, -1), {1: plus, -1: minus})
-    channel = bounds.product_channel([bit] * n)
+    channel = _rr_product_channel(eps, n)
     params = acct.ZcdpParams(0.0, 0.5 * eps * eps)
-    uniform = OutcomeDist.uniform(channel.inputs)
-    mi_ind = bounds.mutual_information(uniform, channel)
-    bound_ind = bounds.mi_bound(params, n, "independent")
-    corr = OutcomeDist(((1,) * n, (-1,) * n), (0.5, 0.5))
-    mi_corr = bounds.mutual_information(corr, channel)
-    bound_gen = bounds.mi_bound(params, n, "general")
-    rows = [
-        ("independent prior", mi_ind, bound_ind),
-        ("correlated prior", mi_corr, bound_gen),
-    ]
     lines = [f"randomized response per-bit eps={fmt(eps)}, n={n} bits, rho={fmt(params.rho)}"]
     ok = True
-    for name, mi, bound in rows:
+    for prior, mi, bound in _prior_mi_rows(channel, params, n):
         verdict = "ok" if mi <= bound else "VIOLATED"
         ok = ok and mi <= bound
-        lines.append(f"{name}: mi={fmt(mi)} bound={fmt(bound)} {verdict}")
+        lines.append(f"{prior} prior: mi={fmt(mi)} bound={fmt(bound)} {verdict}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -315,8 +310,7 @@ def _verify_report(suite: str, cases: list[Case]) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 20240801
-    cases = run_suite(args.suite, seed)
+    cases = run_suite(args.suite, args.seed)
     width = max(len(c.name) for c in cases)
     table = []
     for c in cases:
@@ -338,65 +332,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--ledger", type=str, default=None, help="path to a JSON ledger")
-        p.add_argument("--out", type=str, default=None, help="write output here instead of stdout")
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--sensitivity", type=float, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument(
-            "--method",
-            choices=acct.CURVE_METHODS,
-            default="refined",
-        )
-        p.add_argument("--grid", type=str, default="0.5:5.0:10", help="LO:HI:N")
-        p.add_argument("--seed", type=int, default=None)
+    def command(name: str, fn, help: str, *numbers: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        for number in numbers:
+            p.add_argument(f"--{number}", type=finite_float)
+        p.add_argument("--out", help="write output here instead of stdout")
+        return p
 
-    p = sub.add_parser("compose", help="compose a ledger into one budget")
-    common(p)
-    p.set_defaults(fn=cmd_compose, needs_ledger=True)
+    ledger_help = "path to a JSON ledger"
+    p = command("compose", cmd_compose, "compose a ledger into one budget")
+    p.add_argument("--ledger", required=True, help=ledger_help)
 
-    p = sub.add_parser("curve", help="tabulate a tradeoff curve as CSV")
+    p = command("curve", cmd_curve, "tabulate a tradeoff curve as CSV")
     p.add_argument(
         "target",
         nargs="?",
         choices=("delta_of_eps", "eps_of_delta"),
         default="delta_of_eps",
     )
-    common(p)
-    p.set_defaults(fn=cmd_curve, needs_ledger=True)
+    p.add_argument("--ledger", required=True, help=ledger_help)
+    p.add_argument("--method", choices=acct.CURVE_METHODS, default="refined")
+    p.add_argument("--grid", default="0.5:5.0:10", help="LO:HI:N")
 
-    p = sub.add_parser("calibrate", help="pick a Gaussian noise scale")
-    common(p)
-    p.set_defaults(fn=cmd_calibrate, needs_ledger=False)
+    numbers = ("sensitivity", "rho", "eps", "delta")
+    command("calibrate", cmd_calibrate, "pick a Gaussian noise scale", *numbers)
 
-    p = sub.add_parser("group", help="scale a budget to groups of k")
-    common(p)
-    p.set_defaults(fn=cmd_group, needs_ledger=False)
+    p = command("group", cmd_group, "scale a budget to groups of k", "rho")
+    p.add_argument("--ledger", help=ledger_help)
+    p.add_argument("--k", type=int)
 
-    p = sub.add_parser("convert", help="translate between privacy notions")
-    common(p)
-    p.set_defaults(fn=cmd_convert, needs_ledger=False)
+    command("convert", cmd_convert, "translate between privacy notions", "eps", "delta", "rho")
 
-    p = sub.add_parser("mi-demo", help="mutual-information bounds on a product channel")
-    common(p)
-    p.set_defaults(fn=cmd_mi_demo, needs_ledger=False)
+    p = command("mi-demo", cmd_mi_demo, "mutual-information bounds on a product channel")
+    p.add_argument("--eps", type=finite_float, default=0.8)
+    p.add_argument("--k", type=int, default=3)
 
-    p = sub.add_parser("verify", help="run a named property suite")
+    p = command("verify", cmd_verify, "run a named property suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    common(p)
-    p.set_defaults(fn=cmd_verify, needs_ledger=False)
+    p.add_argument("--seed", type=int, default=20240801)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "needs_ledger", False) and args.ledger is None:
-        parser.error(f"{args.command} requires --ledger")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

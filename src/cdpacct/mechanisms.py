@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from scipy.special import logsumexp
 
-from .accountant import ZcdpParams, bisect_monotone, zcdp_to_dp_refined
+from .accountant import ZcdpParams, bisect_monotone, geometric_scan, zcdp_to_dp_refined
 from .divergence import OutcomeDist
 
 
@@ -123,16 +123,8 @@ def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> floa
     def delta_at(rho: float) -> float:
         return zcdp_to_dp_refined(ZcdpParams(0.0, rho), eps)
 
-    hi = eps
-    if delta_at(hi) <= delta:
-        rho_star = hi
-    else:
-        lo = hi
-        while delta_at(lo) > delta:
-            lo *= 0.5
-            if lo < 1e-300:
-                raise ValueError("target (eps, delta) is unsatisfiable in float range")
-        rho_star = bisect_monotone(delta_at, delta, lo, hi, max_steps=200)
+    lo = geometric_scan(delta_at, delta, 0.0, eps, 0.5)
+    rho_star = bisect_monotone(delta_at, delta, lo, eps, max_steps=200)
     return sensitivity / math.sqrt(2.0 * rho_star)
 
 

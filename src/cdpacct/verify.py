@@ -210,6 +210,18 @@ def _rr_product_channel(eps: float, n: int) -> bounds.FiniteChannel:
     return bounds.product_channel([bit] * n)
 
 
+def _prior_mi_rows(channel: bounds.FiniteChannel, params: acct.ZcdpParams, n: int):
+    """(prior, exact MI, its bound) on n bits: independent uniform bits, then all bits equal."""
+    priors = (
+        ("independent", OutcomeDist.uniform(channel.inputs), "independent"),
+        ("correlated", OutcomeDist(((1,) * n, (-1,) * n), (0.5, 0.5)), "general"),
+    )
+    return [
+        (name, bounds.mutual_information(prior, channel), bounds.mi_bound(params, n, structure))
+        for name, prior, structure in priors
+    ]
+
+
 def _suite_mi(seed: int) -> list[Case]:
     eps = 0.8
     rho = 0.5 * eps * eps
@@ -219,14 +231,8 @@ def _suite_mi(seed: int) -> list[Case]:
         channel = _rr_product_channel(eps, n)
         certified = bounds.certify_zcdp(channel, params)
         cases.append(Case(f"certify_product_channel_n{n}", certified, float(certified), 1.0))
-        uniform = OutcomeDist.uniform(channel.inputs)
-        mi_ind = bounds.mutual_information(uniform, channel)
-        bound_ind = bounds.mi_bound(params, n, "independent")
-        cases.append(Case(f"independent_prior_n{n}", mi_ind <= bound_ind, mi_ind, bound_ind))
-        corr = OutcomeDist(((1,) * n, (-1,) * n), (0.5, 0.5))
-        mi_corr = bounds.mutual_information(corr, channel)
-        bound_gen = bounds.mi_bound(params, n, "general")
-        cases.append(Case(f"correlated_prior_n{n}", mi_corr <= bound_gen, mi_corr, bound_gen))
+        for prior, mi, bound in _prior_mi_rows(channel, params, n):
+            cases.append(Case(f"{prior}_prior_n{n}", mi <= bound, mi, bound))
     for m, l in ((2, 2), (2, 3)):
         n = m * l
         channel = _rr_product_channel(eps, n)

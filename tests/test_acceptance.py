@@ -233,8 +233,6 @@ def test_criterion_11_determinism_of_curve_and_mc_estimator(tmp_path):
         "0.5:9:64",
         "--method",
         "refined",
-        "--seed",
-        "42",
     ]
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0

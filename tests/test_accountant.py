@@ -30,7 +30,7 @@ from cdpacct import (
     zcdp_to_dp_simple,
     zcdp_to_mcdp,
 )
-from cdpacct.accountant import bisect_monotone
+from cdpacct.accountant import bisect_monotone, geometric_scan
 
 
 class TestParamTypes:
@@ -42,6 +42,11 @@ class TestParamTypes:
         for bad in ((-0.1, 0.0, 0.0), (0.0, -0.1, 0.0), (0.0, 0.0, 1.5), (math.nan, 0.0, 0.0)):
             with pytest.raises(ValueError):
                 ZcdpParams(*bad)
+
+    @pytest.mark.parametrize("bad", [(math.inf, 0.0), (0.0, math.inf), (0.0, math.nan)])
+    def test_zcdp_rejects_non_finite_budgets(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ZcdpParams(*bad)
 
     def test_dp_point_rejects_bad_fields(self):
         with pytest.raises(ValueError):
@@ -92,6 +97,11 @@ class TestLedgerEntries:
             LedgerEntry("pure_dp", {"eps": True})
         with pytest.raises(ValueError):
             LedgerEntry("pure_dp", {"eps": math.nan})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, float("1e400")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            LedgerEntry("gaussian", {"sensitivity": value, "sigma": 1.0})
 
     def test_gaussian_entry_budget(self):
         e = LedgerEntry("gaussian", {"sensitivity": 1.0, "sigma": 1.0})
@@ -354,6 +364,23 @@ class TestBisectMonotone:
         assert len(calls) < 100
 
 
+class TestGeometricScan:
+    def test_grows_from_a_base(self):
+        assert geometric_scan(lambda x: -x, -100.0, 5.0, 1.0) == 5.0 + 128.0
+
+    def test_shrinks_with_factor_below_one(self):
+        assert geometric_scan(lambda x: x, 1e-3, 0.0, 0.5, 0.5) == 2.0**-10
+
+    def test_runs_to_the_end_of_the_float_range(self):
+        assert geometric_scan(lambda x: -x, -1e300, 0.0, 1.0) == 2.0**997
+        assert geometric_scan(lambda x: x, 2.0**-1070, 0.0, 1.0, 0.5) == 2.0**-1070
+
+    @pytest.mark.parametrize("factor", [2.0, 0.5])
+    def test_unreachable_target_raises(self, factor):
+        with pytest.raises(ValueError):
+            geometric_scan(lambda x: 1.0, 0.0, 0.0, 1.0, factor)
+
+
 class TestCurveEvaluators:
     def test_refined_matches_the_conversions(self):
         params = ZcdpParams(0.1, 0.5, 1e-7)
@@ -387,6 +414,34 @@ class TestCurveEvaluators:
             delta_of_eps(params, 1.0, "exact")
         with pytest.raises(ValueError):
             eps_of_delta(params, 1e-6, "exact")
+
+    @pytest.mark.parametrize("params", [ZcdpParams(0.5, 0.5), ZcdpParams(0.0, 0.0)])
+    def test_exact_gaussian_needs_a_gaussian_budget(self, params):
+        # The exact curve holds only for xi = 0 and rho > 0; at (0.5, 0.5) it
+        # would claim delta 0.127 at eps 1, below the sound refined 0.694.
+        with pytest.raises(ValueError, match="xi=0 and rho>0"):
+            delta_of_eps(params, 1.0, "exact_gaussian")
+        with pytest.raises(ValueError, match="xi=0 and rho>0"):
+            eps_of_delta(params, 1e-6, "exact_gaussian")
+
+    @pytest.mark.parametrize("method", ["simple", "refined", "exact_gaussian"])
+    def test_vacuous_budget_has_no_finite_eps(self, method):
+        params = ZcdpParams(0.0, 0.125, 1.0)
+        for delta in (1e-9, 1e-3, 0.5):
+            assert eps_of_delta(params, delta, method) == math.inf
+            assert delta_of_eps(params, 3.0, method) == 1.0
+
+    def test_delta_outside_unit_interval_rejected(self):
+        for method in ("simple", "exact_gaussian"):
+            for delta in (0.0, 1.0):
+                with pytest.raises(ValueError):
+                    eps_of_delta(ZcdpParams(0.0, 0.5), delta, method)
+
+    def test_exact_gaussian_beyond_two_to_the_200(self):
+        # The bracket once stopped doubling at 2^200 = 1.6e60 and returned it.
+        params = ZcdpParams(0.0, 5e159)
+        eps = eps_of_delta(params, 1e-6, "exact_gaussian")
+        assert eps == pytest.approx(eps_of_delta(params, 1e-6, "refined"), rel=1e-12)
 
 
 class TestCompositionCorollaries:

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cdpacct
 from cdpacct import ZcdpParams, zcdp_to_dp_refined
-from cdpacct.cli import REPORT_DELTAS, fmt, main
+from cdpacct.cli import MAX_GRID_POINTS, REPORT_DELTAS, build_parser, fmt, grid_points, main
 
 TWO_GAUSSIANS = {
     "entries": [
@@ -41,6 +42,51 @@ class TestFmt:
         assert fmt(math.inf) == "inf"
         assert fmt(-math.inf) == "-inf"
         assert fmt(math.nan) == "nan"
+
+
+def assert_usage_error(argv, capsys):
+    """argv exits 2, from argparse or from the command, with a stderr free of tracebacks."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+    return err
+
+
+class TestFlags:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        dests = {
+            name: sorted(a.dest for a in p._actions if a.dest != "help")
+            for name, p in sub.choices.items()
+        }
+        assert dests == {
+            "compose": ["ledger", "out"],
+            "curve": ["grid", "ledger", "method", "out", "target"],
+            "calibrate": ["delta", "eps", "out", "rho", "sensitivity"],
+            "group": ["k", "ledger", "out", "rho"],
+            "convert": ["delta", "eps", "out", "rho"],
+            "mi-demo": ["eps", "k", "out"],
+            "verify": ["out", "seed", "suite"],
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", "--ledger", "LEDGER", "--delta", "1e-9"],
+            ["compose", "--ledger", "LEDGER", "--method", "exact_gaussian"],
+            ["curve", "--ledger", "LEDGER", "--seed", "42"],
+            ["group", "--rho", "0.1", "--k", "3", "--eps", "1"],
+            ["convert", "--rho", "inf", "--delta", "1e-6"],
+            ["calibrate", "--sensitivity", "nan", "--rho", "0.5"],
+        ],
+    )
+    def test_unread_flags_and_non_finite_numbers_exit_2(self, argv, ledger_path, capsys):
+        argv = [ledger_path if a == "LEDGER" else a for a in argv]
+        assert_usage_error(argv, capsys)
 
 
 class TestCompose:
@@ -111,6 +157,14 @@ class TestCompose:
         assert main(["compose", "--ledger", path]) == 2
         err = capsys.readouterr().err
         assert f"must be finite, got {constant}" in err and len(err.splitlines()) == 1
+
+    def test_number_beyond_float_range_rejected(self, tmp_path, capsys):
+        path = write_ledger(
+            tmp_path,
+            '{"entries": [{"kind": "gaussian", "params": {"sensitivity": 1e400, "sigma": 1}}]}',
+        )
+        err = assert_usage_error(["compose", "--ledger", path], capsys)
+        assert "'sensitivity' must be finite" in err and len(err.splitlines()) == 1
 
 
 class TestCurve:
@@ -265,6 +319,30 @@ class TestCurve:
             main(["curve", "eps_of_delta", "--ledger", ledger_path, "--grid", "0.1:2:5"]) == 2
         )
 
+    def test_oversized_grid_rejected(self, ledger_path, capsys):
+        for n in (MAX_GRID_POINTS + 1, 10**13):
+            argv = ["curve", "--ledger", ledger_path, "--grid", f"0:1:{n}"]
+            err = assert_usage_error(argv, capsys)
+            assert len(err.splitlines()) == 1
+
+    def test_grid_points_match_linspace(self):
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            lo, hi = sorted(rng.uniform(0.0, 10.0 ** rng.uniform(-8, 8), size=2))
+            n = int(rng.integers(2, 300))
+            assert grid_points(lo, hi, n) == [float(x) for x in np.linspace(lo, hi, n)]
+
+    @pytest.mark.parametrize("method", ["simple", "refined", "exact_gaussian"])
+    def test_vacuous_budget_has_no_finite_eps(self, tmp_path, method, capsys):
+        path = write_ledger(
+            tmp_path, {"entries": [{"kind": "approx_dp", "params": {"eps": 0.5, "delta": 1.0}}]}
+        )
+        argv = ["curve", "eps_of_delta", "--ledger", path, "--grid", "1e-9:0.5:5"]
+        argv += ["--method", method]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 5 and all(r.split(",")[1] == "inf" for r in rows)
+
     def test_exact_gaussian_needs_zero_xi(self, tmp_path):
         path = write_ledger(
             tmp_path, {"entries": [{"kind": "mcdp", "params": {"mu": 1.0, "tau": 1.0}}]}
@@ -273,6 +351,16 @@ class TestCurve:
             ["curve", "--ledger", path, "--grid", "1:3:5", "--method", "exact_gaussian"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("target", ["delta_of_eps", "eps_of_delta"])
+    def test_exact_gaussian_rule_comes_from_the_library(self, tmp_path, target, capsys):
+        path = write_ledger(
+            tmp_path, {"entries": [{"kind": "zcdp", "params": {"xi": 0.5, "rho": 0.5, "delta": 0}}]}
+        )
+        argv = ["curve", target, "--ledger", path, "--grid", "0.1:0.5:3"]
+        argv += ["--method", "exact_gaussian"]
+        err = assert_usage_error(argv, capsys)
+        assert err == "error: exact_gaussian requires a ledger with xi=0 and rho>0\n"
 
     def test_unwritable_out_is_io_error(self, ledger_path, tmp_path):
         rc = main(
@@ -372,6 +460,12 @@ class TestConvert:
         assert main(["convert", "--rho", "0.5", "--eps", "2.5"]) == 0
         out = capsys.readouterr().out
         assert "delta (refined): 4.23054234196e-02" in out
+
+    def test_zero_rho_to_delta(self, capsys):
+        assert main(["convert", "--rho", "0", "--eps", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "delta (refined): 0.00000000000e+00" in out
+        assert "delta (simple): 0.00000000000e+00" in out
 
     def test_no_recognized_combination(self):
         assert main(["convert"]) == 2
@@ -495,6 +589,10 @@ class TestOutOfRangeArithmetic:
             {"entries": [{"kind": "gaussian", "params": {"sensitivity": 1e200, "sigma": 1e-200}}]},
         )
         self.check(["compose", "--ledger", path], capsys)
+
+    def test_budget_beyond_float_range(self, capsys):
+        # eps^2 / 2 overflows: the budget would be rho = inf.
+        self.check(["convert", "--eps", "1e308", "--delta", "0.5"], capsys)
 
     def test_calibrate_underflow(self, capsys):
         argv = ["calibrate", "--sensitivity", "1e-320", "--eps", "1", "--delta", "1e-6"]
