@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from .oracle import delta_exact_gaussian
+
 
 @dataclass(frozen=True)
 class ZcdpParams:
@@ -154,6 +156,10 @@ def compose(entries: Sequence[ZcdpParams]) -> ZcdpParams:
     return ZcdpParams(xi, rho, min(1.0, max(0.0, 1.0 - keep)))
 
 
+# Largest group size: group_privacy sums the harmonic number term by term.
+MAX_GROUP_SIZE = 10**6
+
+
 def _harmonic(k: int) -> float:
     return math.fsum(1.0 / i for i in range(1, k + 1))
 
@@ -162,10 +168,12 @@ def group_privacy(params: ZcdpParams, k: int) -> ZcdpParams:
     """Budget against groups of k individuals: (xi k H_k, rho k^2).
 
     Only the plain guarantee scales this way; approximate budgets are
-    rejected.
+    rejected, as are groups larger than MAX_GROUP_SIZE.
     """
     if k < 1:
         raise ValueError("group size must be a positive integer")
+    if k > MAX_GROUP_SIZE:
+        raise ValueError(f"group size must be at most {MAX_GROUP_SIZE}, got {k}")
     if params.delta_approx != 0.0:
         raise ValueError("group privacy is supported only for delta_approx = 0")
     return ZcdpParams(params.xi * k * _harmonic(k), params.rho * k * k)
@@ -281,9 +289,9 @@ def approx_zcdp_to_dp(params: ZcdpParams, eps: float) -> DpPoint:
     """
     if params.rho == 0.0:
         return DpPoint(params.xi, params.delta_approx)
-    d = zcdp_to_dp_refined(params._plain, eps)
-    da = params.delta_approx
-    return DpPoint(eps, min(1.0, da + (1.0 - da) * d))
+    if eps < params.xi + params.rho:
+        raise ValueError("refined conversion needs eps >= xi + rho")
+    return DpPoint(eps, delta_of_eps(params, eps, "refined"))
 
 
 def bisect_monotone(
@@ -334,27 +342,11 @@ def geometric_scan(
 
 
 def eps_for_delta(params: ZcdpParams, delta: float) -> float:
-    """Smallest eps (to 1e-10, or one ulp where wider) whose converted delta meets the target.
+    """Smallest eps (to 1e-10, or one ulp where wider) whose refined delta meets the target.
 
-    Uses the refined conversion, which is strictly decreasing in eps on its
-    domain, so plain bisection applies.  Returns +inf when the approximate
-    mass alone already exceeds the target.
+    The same as eps_of_delta(params, delta, "refined").
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    da = params.delta_approx
-    if da >= delta:
-        return math.inf
-    target = (delta - da) / (1.0 - da)
-    if params.rho == 0.0:
-        return params.xi
-    plain = params._plain
-    lo = params.xi + params.rho
-    if zcdp_to_dp_refined(plain, lo) <= target:
-        return lo
-    refined = functools.partial(zcdp_to_dp_refined, plain)
-    hi = geometric_scan(refined, target, lo, max(1.0, math.sqrt(params.rho)))
-    return bisect_monotone(refined, target, hi, lo, atol=1e-10)
+    return eps_of_delta(params, delta, "refined")
 
 
 CURVE_METHODS = ("simple", "refined", "exact_gaussian")
@@ -384,44 +376,44 @@ def delta_of_eps(params: ZcdpParams, eps: float, method: str = "refined") -> flo
 
 
 def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> float:
-    """eps at delta by one of CURVE_METHODS; "refined" is eps_for_delta.
+    """Smallest eps at which delta_of_eps(params, eps, method) meets delta.
 
-    The others invert delta_of_eps at delta' = (delta - delta_approx) /
-    (1 - delta_approx), and give +inf when delta_approx >= delta.
+    Inverts delta_of_eps at delta' = (delta - delta_approx) / (1 - delta_approx),
+    and gives +inf when delta_approx >= delta.  "simple" is closed-form; the
+    others are strictly decreasing in eps, so a geometric scan brackets the
+    root and bisection narrows it: to 1e-10 for "refined" (or one ulp where
+    wider), to 1e-12 absolute or relative for "exact_gaussian".
     """
-    if method == "refined":
-        return eps_for_delta(params, delta)
     if method not in CURVE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     xi, rho, da = params.xi, params.rho, params.delta_approx
-    exact = _exact_gaussian(params) if method == "exact_gaussian" else None
+    if method == "exact_gaussian":
+        f = _exact_gaussian(params)  # a budget it does not hold for is an error at any delta
     if da >= delta:
         return math.inf
     prime = (delta - da) / (1.0 - da)
-    if exact is not None:
-        if prime >= exact(0.0):
-            return 0.0
-        hi = geometric_scan(exact, prime, 0.0, 1.0)
-        return bisect_monotone(exact, prime, hi, 0.0, atol=1e-12, rtol=1e-12)
     if rho == 0.0:
         return xi
-    return xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime))
+    if method == "simple":
+        return xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime))
+    if method == "refined":
+        f = functools.partial(zcdp_to_dp_refined, params._plain)
+        lo, step, atol, rtol = xi + rho, max(1.0, math.sqrt(rho)), 1e-10, 0.0
+    else:
+        lo, step, atol, rtol = 0.0, 1.0, 1e-12, 1e-12
+    if f(lo) <= prime:
+        return lo
+    hi = geometric_scan(f, prime, lo, step)
+    return bisect_monotone(f, prime, hi, lo, atol=atol, rtol=rtol)
 
 
 def _exact_gaussian(params: ZcdpParams) -> Callable[[float], float]:
     """The exact Gaussian delta(eps), which holds only for budgets with xi = 0 and rho > 0."""
     if params.xi != 0.0 or not params.rho > 0.0:
         raise ValueError("exact_gaussian requires a ledger with xi=0 and rho>0")
-    return functools.partial(_oracle().delta_exact_gaussian, params.rho)
-
-
-@functools.cache
-def _oracle():
-    from . import oracle  # imports scipy: loaded on first use, not with this module
-
-    return oracle
+    return functools.partial(delta_exact_gaussian, params.rho)
 
 
 def dp_composition_bound(points: Sequence[DpPoint], delta_prime: float) -> DpPoint:

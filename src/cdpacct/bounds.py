@@ -33,7 +33,10 @@ _FULL_CHECK_LIMIT = 512
 
 @dataclass(frozen=True)
 class FiniteChannel:
-    """A mechanism on a finite input set: one output distribution per input."""
+    """A mechanism on a finite input set: one output distribution per input.
+
+    Every conditional is stored in the first input's outcome order.
+    """
 
     inputs: tuple[Hashable, ...]
     conditionals: Mapping[Hashable, OutcomeDist]
@@ -45,10 +48,11 @@ class FiniteChannel:
             raise ValueError("conditionals must cover exactly the declared inputs")
         if not self.inputs:
             raise ValueError("channel needs at least one input")
-        base = set(conds[self.inputs[0]].outcomes)
+        base = conds[self.inputs[0]]
         for x in self.inputs:
-            if set(conds[x].outcomes) != base:
-                raise ValueError("all conditionals must share one outcome set")
+            if conds[x].outcomes != base.outcomes:
+                # aligned_probs refuses a conditional over a different outcome set.
+                conds[x] = OutcomeDist(base.outcomes, aligned_probs(base, conds[x]))
         object.__setattr__(self, "conditionals", conds)
 
     def outcome_set(self) -> tuple[Hashable, ...]:
@@ -60,19 +64,11 @@ def product_channel(channels: Sequence[FiniteChannel]) -> FiniteChannel:
     if not channels:
         raise ValueError("need at least one channel")
     inputs = tuple(itertools.product(*(ch.inputs for ch in channels)))
-    out_sets = [ch.outcome_set() for ch in channels]
-    outcomes = tuple(itertools.product(*out_sets))
+    outcomes = tuple(itertools.product(*(ch.outcome_set() for ch in channels)))
     conditionals = {}
     for joint_in in inputs:
-        factor_probs = []
-        for ch, x, outs in zip(channels, joint_in, out_sets):
-            cond = ch.conditionals[x]
-            lookup = dict(zip(cond.outcomes, cond.probs))
-            factor_probs.append([lookup[y] for y in outs])
-        probs = tuple(
-            math.prod(fp[i] for fp, i in zip(factor_probs, idx))
-            for idx in itertools.product(*(range(len(o)) for o in out_sets))
-        )
+        factors = [ch.conditionals[x].probs for ch, x in zip(channels, joint_in)]
+        probs = tuple(math.prod(fp) for fp in itertools.product(*factors))
         conditionals[joint_in] = OutcomeDist(outcomes, probs)
     return FiniteChannel(inputs, conditionals)
 
@@ -96,11 +92,9 @@ def mutual_information(prior: OutcomeDist, channel: FiniteChannel) -> float:
         if px == 0.0:
             continue
         cond = channel.conditionals[x]
-        lookup = dict(zip(cond.outcomes, cond.probs))
-        aligned = OutcomeDist(outcomes, tuple(lookup[y] for y in outcomes))
-        weighted.append((px, aligned))
-        for i, y in enumerate(outcomes):
-            marginal[i] += px * lookup[y]
+        weighted.append((px, cond))
+        for i, pr in enumerate(cond.probs):
+            marginal[i] += px * pr
     marginal_dist = OutcomeDist(outcomes, tuple(marginal))
     return max(0.0, math.fsum(px * renyi_divergence(d, marginal_dist, 1.0) for px, d in weighted))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import accountant as acct
@@ -59,16 +58,6 @@ def finite_float(text: str) -> float:
     if not -math.inf < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
-
-
-def _check_thread_env() -> None:
-    # Only validated: curve points are computed in order, because the work
-    # holds the interpreter lock and a thread pool made curves slower.
-    raw = os.environ.get("CDP_ACCT_THREADS", "1")
-    try:
-        int(raw)
-    except ValueError:
-        raise CliError(EXIT_USAGE, f"CDP_ACCT_THREADS must be an integer, got {raw!r}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -172,7 +161,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, "delta_of_eps grid must be non-negative")
     evaluate = acct.delta_of_eps if args.target == "delta_of_eps" else acct.eps_of_delta
     xs = grid_points(lo, hi, n)
-    _check_thread_env()
     values = [evaluate(params, x, args.method) for x in xs]
     lines = ["x,value,method"]
     lines.extend(f"{fmt(x)},{fmt(v)},{args.method}" for x, v in zip(xs, values))

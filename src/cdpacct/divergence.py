@@ -102,6 +102,32 @@ def aligned_probs(p: OutcomeDist, q: OutcomeDist) -> tuple[float, ...]:
     return tuple(q.probs[index[y]] for y in p.outcomes)
 
 
+def _loss_pairs(p: OutcomeDist, q: OutcomeDist) -> list[tuple[float, float]]:
+    """(p(y), log(p(y)/q(y))) over p's support; the loss is +inf where q(y) = 0."""
+    return [
+        (pi, math.inf if qi == 0.0 else math.log(pi) - math.log(qi))
+        for pi, qi in zip(p.probs, aligned_probs(p, q))
+        if pi > 0.0
+    ]
+
+
+def _divergence(pairs: Sequence[tuple[float, float]], order: RenyiOrder) -> ExtendedReal:
+    """Order-alpha divergence of (mass, loss) pairs with positive mass.
+
+    E[Z] at alpha = 1, the top loss at alpha = inf, and otherwise the
+    log-moment (1/(alpha-1)) * log E[e^((alpha-1) Z)] via log-sum-exp.
+    """
+    order = _check_order(order)
+    if any(math.isinf(l) for _, l in pairs):
+        return math.inf
+    if order == 1.0:
+        return math.fsum(m * l for m, l in pairs)
+    if math.isinf(order):
+        return max(l for _, l in pairs)
+    terms = [math.log(m) + (order - 1.0) * l for m, l in pairs]
+    return float(logsumexp(terms)) / (order - 1.0)
+
+
 def renyi_divergence(p: OutcomeDist, q: OutcomeDist, order: RenyiOrder) -> ExtendedReal:
     """Renyi divergence D_alpha(p || q) in nats.
 
@@ -110,18 +136,7 @@ def renyi_divergence(p: OutcomeDist, q: OutcomeDist, order: RenyiOrder) -> Exten
     (1/(alpha-1)) * log sum p^alpha q^(1-alpha) via log-sum-exp.
     Returns +inf whenever p puts mass where q has none.
     """
-    order = _check_order(order)
-    qp = aligned_probs(p, q)
-    pairs = [(pi, qi) for pi, qi in zip(p.probs, qp) if pi > 0.0]
-    if any(qi == 0.0 for _, qi in pairs):
-        return math.inf
-    if order == 1.0:
-        # 0 * log(0/q) = 0 by convention: zero-mass outcomes already dropped.
-        return max(0.0, math.fsum(pi * (math.log(pi) - math.log(qi)) for pi, qi in pairs))
-    if math.isinf(order):
-        return max(0.0, max(math.log(pi) - math.log(qi) for pi, qi in pairs))
-    terms = [order * math.log(pi) + (1.0 - order) * math.log(qi) for pi, qi in pairs]
-    return max(0.0, float(logsumexp(terms)) / (order - 1.0))
+    return max(0.0, _divergence(_loss_pairs(p, q), order))
 
 
 def _round_loss(z: float) -> float:
@@ -174,15 +189,8 @@ def privacy_loss_dist(p: OutcomeDist, q: OutcomeDist) -> PrivacyLossDist:
     Outcomes with p(y) = 0 are omitted; an outcome with p(y) > 0 and
     q(y) = 0 contributes loss +inf.
     """
-    qp = aligned_probs(p, q)
-    losses = []
-    probs = []
-    for pi, qi in zip(p.probs, qp):
-        if pi == 0.0:
-            continue
-        losses.append(math.inf if qi == 0.0 else math.log(pi) - math.log(qi))
-        probs.append(pi)
-    return PrivacyLossDist(tuple(losses), tuple(probs))
+    pairs = _loss_pairs(p, q)
+    return PrivacyLossDist(tuple(l for _, l in pairs), tuple(m for m, _ in pairs))
 
 
 def divergence_from_loss(z: PrivacyLossDist, order: RenyiOrder) -> ExtendedReal:
@@ -192,16 +200,7 @@ def divergence_from_loss(z: PrivacyLossDist, order: RenyiOrder) -> ExtendedReal:
     finite alpha > 1, E[Z] at alpha = 1, and the top of the support at
     alpha = inf.  Agrees with renyi_divergence on the generating pair.
     """
-    order = _check_order(order)
-    support = [(l, pr) for l, pr in zip(z.losses, z.probs) if pr > 0.0]
-    if math.isinf(order):
-        return max(l for l, _ in support)
-    if any(math.isinf(l) for l, _ in support):
-        return math.inf
-    if order == 1.0:
-        return math.fsum(pr * l for l, pr in support)
-    terms = [math.log(pr) + (order - 1.0) * l for l, pr in support]
-    return float(logsumexp(terms)) / (order - 1.0)
+    return _divergence([(pr, l) for l, pr in zip(z.losses, z.probs) if pr > 0.0], order)
 
 
 def pushforward(p: OutcomeDist, fn: Callable[[Hashable], Hashable] | Mapping) -> OutcomeDist:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from cdpacct import (
     zcdp_to_dp_simple,
     zcdp_to_mcdp,
 )
-from cdpacct.accountant import bisect_monotone, geometric_scan
+from cdpacct.accountant import MAX_GROUP_SIZE, bisect_monotone, geometric_scan
 
 
 class TestParamTypes:
@@ -183,6 +184,14 @@ class TestGroupPrivacy:
             group_privacy(ZcdpParams(0.1, 0.1), 0)
         with pytest.raises(ValueError):
             group_privacy(ZcdpParams(0.1, 0.1, 1e-6), 2)
+
+    @pytest.mark.parametrize("k", [MAX_GROUP_SIZE + 1, 10**18])
+    def test_oversized_group_rejected_quickly(self, k):
+        # Refused before the term-by-term harmonic sum; no large allowed k is run.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most"):
+            group_privacy(ZcdpParams(0.1, 0.1), k)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDpConversions:
@@ -436,6 +445,13 @@ class TestCurveEvaluators:
             for delta in (0.0, 1.0):
                 with pytest.raises(ValueError):
                     eps_of_delta(ZcdpParams(0.0, 0.5), delta, method)
+
+    @pytest.mark.parametrize("rho", [1e19, 1e20, 1e30, 1e40, 1e100])
+    def test_exact_gaussian_eps_not_below_rho(self, rho):
+        # The exact delta at eps = rho is about 1/2, so eps at 1e-6 lies above
+        # rho, near rho + 9.5 sqrt(rho); the search stops within 1e-12 relative.
+        eps = eps_of_delta(ZcdpParams(0.0, rho), 1e-6, "exact_gaussian")
+        assert rho <= eps <= (rho + 10.0 * math.sqrt(rho)) * (1.0 + 2e-12)
 
     def test_exact_gaussian_beyond_two_to_the_200(self):
         # The bracket once stopped doubling at 2^200 = 1.6e60 and returned it.

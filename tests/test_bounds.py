@@ -43,6 +43,16 @@ class TestFiniteChannel:
         with pytest.raises(ValueError):
             FiniteChannel((1, -1), {1: plus, -1: other})
 
+    def test_conditionals_share_the_first_outcome_order(self):
+        plus = OutcomeDist(("a", "b", "c"), (0.5, 0.3, 0.2))
+        minus = OutcomeDist(("c", "a", "b"), (0.6, 0.1, 0.3))
+        ch = FiniteChannel((1, -1), {1: plus, -1: minus})
+        assert ch.conditionals[1] is plus
+        assert ch.conditionals[-1] == OutcomeDist(("a", "b", "c"), (0.1, 0.3, 0.6))
+        twice = product_channel([ch, ch])
+        assert twice.conditionals[(1, -1)].prob_of(("b", "c")) == 0.3 * 0.6
+        assert twice.conditionals[(-1, -1)].prob_of(("c", "a")) == 0.6 * 0.1
+
     def test_product_channel_masses(self):
         ch = rr_product(math.log(3.0), 2)
         assert set(ch.inputs) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
@@ -86,6 +96,13 @@ class TestMutualInformation:
         ch = rr_channel(1.0)
         prior = OutcomeDist((1,), (1.0,))
         assert mutual_information(prior, ch) == pytest.approx(0.0, abs=1e-15)
+
+    def test_independent_of_conditional_outcome_order(self):
+        plus, minus = OutcomeDist((1, -1), (0.75, 0.25)), OutcomeDist((1, -1), (0.25, 0.75))
+        flipped = OutcomeDist((-1, 1), (0.75, 0.25))
+        prior = OutcomeDist.uniform((1, -1))
+        mi = mutual_information(prior, FiniteChannel((1, -1), {1: plus, -1: minus}))
+        assert mutual_information(prior, FiniteChannel((1, -1), {1: plus, -1: flipped})) == mi
 
     def test_never_increases_under_output_pushforward(self, rng):
         ch = rr_product(0.9, 3)

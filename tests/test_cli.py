@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import cdpacct
 from cdpacct import ZcdpParams, zcdp_to_dp_refined
+from cdpacct.accountant import MAX_GROUP_SIZE
 from cdpacct.cli import MAX_GRID_POINTS, REPORT_DELTAS, build_parser, fmt, grid_points, main
 
 TWO_GAUSSIANS = {
@@ -27,10 +29,39 @@ def ledger_path(tmp_path):
     return str(path)
 
 
+# Every kind of entry, so the composed budget has xi, rho and delta_approx > 0;
+# PLAIN keeps the entries with delta 0, which group privacy accepts.
+MIXED = {
+    "entries": [
+        {"kind": "gaussian", "params": {"sensitivity": 1.0, "sigma": 3.0}},
+        {"kind": "pure_dp", "params": {"eps": 0.1}},
+        {"kind": "approx_dp", "params": {"eps": 0.2, "delta": 1e-7}},
+        {"kind": "zcdp", "params": {"xi": 0.01, "rho": 0.05, "delta": 1e-8}},
+        {"kind": "mcdp", "params": {"mu": 0.1, "tau": 0.2}},
+    ]
+}
+PLAIN = {"entries": [e for e in MIXED["entries"] if e["kind"] in ("gaussian", "pure_dp", "mcdp")]}
+
+# stdout of each command, byte for byte, keyed by its argv with LEDGER and
+# PLAIN standing for the two ledgers above.  exact_gaussian is left out: its
+# last digits follow the scipy version.
+OUTPUT_PINS = json.loads((Path(__file__).parent / "cli_output_pins.json").read_text())
+
+
 def write_ledger(tmp_path, doc, name="custom.json"):
     path = tmp_path / name
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_PINS))
+def test_output_bytes_are_pinned(command, tmp_path, capsys):
+    paths = {
+        "LEDGER": write_ledger(tmp_path, MIXED),
+        "PLAIN": write_ledger(tmp_path, PLAIN, "plain.json"),
+    }
+    assert main([paths.get(a, a) for a in command.split()]) == 0
+    assert capsys.readouterr().out == OUTPUT_PINS[command]
 
 
 class TestFmt:
@@ -236,10 +267,6 @@ class TestCurve:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_thread_env_is_usage_error(self, ledger_path, monkeypatch, capsys):
-        monkeypatch.setenv("CDP_ACCT_THREADS", "many")
-        assert main(["curve", "--ledger", ledger_path, "--grid", "1:2:3"]) == 2
-
     def test_delta_curve_is_nonincreasing(self, ledger_path, tmp_path):
         out = tmp_path / "c.csv"
         for method in ("simple", "refined", "exact_gaussian"):
@@ -437,6 +464,14 @@ class TestGroup:
             {"entries": [{"kind": "approx_dp", "params": {"eps": 1.0, "delta": 1e-6}}]},
         )
         assert main(["group", "--ledger", path, "--k", "2"]) == 2
+
+    @pytest.mark.parametrize("k", [MAX_GROUP_SIZE + 1, 10**18])
+    def test_oversized_group_rejected(self, k, capsys):
+        # Refused before the harmonic sum: an allowed k this large is not run.
+        start = time.perf_counter()
+        err = assert_usage_error(["group", "--rho", "0.1", "--k", str(k)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert f"at most {MAX_GROUP_SIZE}" in err
 
 
 class TestConvert:

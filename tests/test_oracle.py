@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import pytest
 
 from cdpacct import (
@@ -92,6 +94,15 @@ class TestDeltaFromPld:
             assert delta_from_pld(pld, e) >= 0.3
 
 
+def sixty_digit_delta(eta: float, eps: float) -> float:
+    """P[N > (eps - eta)/s] - e^eps P[N > (eps + eta)/s] with s = sqrt(2 eta), to 60 digits."""
+    with mpmath.workdps(60):
+        eta, eps = mpmath.mpf(eta), mpmath.mpf(eps)
+        s = mpmath.sqrt(2 * eta)
+        first = mpmath.ncdf(-(eps - eta) / s)
+        return float(first - mpmath.exp(eps) * mpmath.ncdf(-(eps + eta) / s))
+
+
 class TestDeltaExactGaussian:
     def test_zero_eps_is_tv_of_unit_shift(self):
         # eta = 1/2 corresponds to N(0,1) vs N(1,1): TV = 2*Phi(1/2) - 1
@@ -128,6 +139,24 @@ class TestDeltaExactGaussian:
         rho = 0.5
         for lam in (0.2, 0.5, 1.0, 2.0, 4.0):
             assert delta_exact_gaussian(rho, lam + rho) <= loss_tail_bound(0.0, rho, lam)
+
+    @pytest.mark.parametrize("lo, hi", [(1e-4, 50.0), (1e10, 1e30)])
+    def test_matches_sixty_digit_arithmetic(self, lo, hi):
+        # eps from 3 standard deviations of the loss below its mean to 37
+        # above, where delta leaves the normal floats (below about 1e-300).
+        rng = random.Random(20240801)
+        for _ in range(300):
+            eta = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            eps = max(0.0, eta + math.sqrt(2.0 * eta) * rng.uniform(-3.0, 37.0))
+            expect = sixty_digit_delta(eta, eps)
+            if expect > 1e-300:
+                assert delta_exact_gaussian(eta, eps) == pytest.approx(expect, rel=1e-11, abs=0.0)
+
+    def test_negative_eps_matches_sixty_digit_arithmetic(self):
+        for eta in (1e-4, 0.5, 30.0):
+            for eps in (-0.1, -1.0, -50.0, -1000.0):
+                expect = sixty_digit_delta(eta, eps)
+                assert delta_exact_gaussian(eta, eps) == pytest.approx(expect, rel=1e-11, abs=0.0)
 
     def test_strictly_decreasing_in_eps(self):
         values = [delta_exact_gaussian(0.5, e) for e in (0.0, 0.5, 1.0, 2.0, 4.0)]
