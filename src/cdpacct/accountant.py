@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .oracle import delta_exact_gaussian
-
 
 @dataclass(frozen=True)
 class ZcdpParams:
@@ -176,7 +174,9 @@ def group_privacy(params: ZcdpParams, k: int) -> ZcdpParams:
         raise ValueError(f"group size must be at most {MAX_GROUP_SIZE}, got {k}")
     if params.delta_approx != 0.0:
         raise ValueError("group privacy is supported only for delta_approx = 0")
-    return ZcdpParams(params.xi * k * _harmonic(k), params.rho * k * k)
+    # A zero xi needs no harmonic sum: xi * k * H_k is then xi itself, sign included.
+    xi = params.xi and params.xi * k * _harmonic(k)
+    return ZcdpParams(xi, params.rho * k * k)
 
 
 def zcdp_to_dp_simple(params: ZcdpParams, delta: float) -> DpPoint:
@@ -413,6 +413,8 @@ def _exact_gaussian(params: ZcdpParams) -> Callable[[float], float]:
     """The exact Gaussian delta(eps), which holds only for budgets with xi = 0 and rho > 0."""
     if params.xi != 0.0 or not params.rho > 0.0:
         raise ValueError("exact_gaussian requires a ledger with xi=0 and rho>0")
+    from .oracle import delta_exact_gaussian  # numpy and scipy load only for this method
+
     return functools.partial(delta_exact_gaussian, params.rho)
 
 

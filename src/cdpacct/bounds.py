@@ -17,11 +17,13 @@ from .accountant import ZcdpParams
 from .divergence import (
     ALPHA_GRID,
     OutcomeDist,
+    _divergence,
+    _loss_pairs,
     aligned_probs,
     pushforward,
     renyi_divergence,
 )
-from .mechanisms import ExpMechSpec, exponential_mechanism
+from .mechanisms import ExpMechSpec, exponential_mechanism, randomized_response
 
 # Caps keeping purification at desk scale.
 MAX_NET_SIZE = 10**5
@@ -139,6 +141,10 @@ def certify_zcdp(
     pairs = adjacency if adjacency is not None else _default_adjacency(channel.inputs)
     for a, b in pairs:
         da, db = channel.conditionals[a], channel.conditionals[b]
+        # The guarantee quantifies over ordered neighbor pairs, so an
+        # undirected adjacency list is checked in both directions; each
+        # direction's loss pairs serve every order.
+        directions = (_loss_pairs(da, db), _loss_pairs(db, da))
         for alpha in alphas:
             if math.isinf(alpha):
                 if params.rho > 0.0:
@@ -146,13 +152,29 @@ def certify_zcdp(
                 bound = params.xi
             else:
                 bound = params.xi + params.rho * alpha
-            # The guarantee quantifies over ordered neighbor pairs, so an
-            # undirected adjacency list is checked in both directions.
-            if renyi_divergence(da, db, alpha) > bound + 1e-9:
-                return False
-            if renyi_divergence(db, da, alpha) > bound + 1e-9:
-                return False
+            for loss_pairs in directions:
+                if max(0.0, _divergence(loss_pairs, alpha)) > bound + 1e-9:
+                    return False
     return True
+
+
+def rr_product_channel(eps: float, n: int) -> FiniteChannel:
+    """n independent bits, each through randomized response at eps; inputs are +-1 tuples."""
+    plus, minus = randomized_response(eps)
+    bit = FiniteChannel((1, -1), {1: plus, -1: minus})
+    return product_channel([bit] * n)
+
+
+def prior_mi_rows(channel: FiniteChannel, params: ZcdpParams, n: int):
+    """(prior, exact MI, its bound) on n bits: independent uniform bits, then all bits equal."""
+    priors = (
+        ("independent", OutcomeDist.uniform(channel.inputs), "independent"),
+        ("correlated", OutcomeDist(((1,) * n, (-1,) * n), (0.5, 0.5)), "general"),
+    )
+    return [
+        (name, mutual_information(prior, channel), mi_bound(params, n, structure))
+        for name, prior, structure in priors
+    ]
 
 
 def _default_adjacency(inputs: Sequence[Hashable]) -> list[tuple[Hashable, Hashable]]:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
-from scipy.special import logsumexp
-
 # Order of a Renyi divergence: float >= 1, math.inf selects max divergence.
 RenyiOrder = float
 
@@ -111,6 +109,17 @@ def _loss_pairs(p: OutcomeDist, q: OutcomeDist) -> list[tuple[float, float]]:
     ]
 
 
+def logsumexp(terms: Sequence[float]) -> float:
+    """log(sum(exp(t))) shifted by the largest term, which is returned as is when infinite.
+
+    The top term's exp(0) = 1 leaves the exact sum, so log1p keeps the rest to full precision.
+    """
+    top = max(terms)
+    if math.isinf(top):
+        return top
+    return top + math.log1p(math.fsum([math.exp(t - top) for t in terms] + [-1.0]))
+
+
 def _divergence(pairs: Sequence[tuple[float, float]], order: RenyiOrder) -> ExtendedReal:
     """Order-alpha divergence of (mass, loss) pairs with positive mass.
 
@@ -125,7 +134,7 @@ def _divergence(pairs: Sequence[tuple[float, float]], order: RenyiOrder) -> Exte
     if math.isinf(order):
         return max(l for _, l in pairs)
     terms = [math.log(m) + (order - 1.0) * l for m, l in pairs]
-    return float(logsumexp(terms)) / (order - 1.0)
+    return logsumexp(terms) / (order - 1.0)
 
 
 def renyi_divergence(p: OutcomeDist, q: OutcomeDist, order: RenyiOrder) -> ExtendedReal:

@@ -10,10 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import logsumexp
-
 from .accountant import ZcdpParams, bisect_monotone, geometric_scan, zcdp_to_dp_refined
-from .divergence import OutcomeDist
+from .divergence import OutcomeDist, logsumexp
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ def exponential_mechanism(spec: ExpMechSpec) -> OutcomeDist:
     """
     scale = -spec.epsilon / (2.0 * spec.delta_sensitivity)
     logits = [scale * l for l in spec.candidate_losses]
-    log_norm = float(logsumexp(logits))
+    log_norm = logsumexp(logits)
     probs = tuple(math.exp(l - log_norm) for l in logits)
     return OutcomeDist(tuple(range(len(probs))), probs)
 

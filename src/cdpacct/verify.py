@@ -204,38 +204,20 @@ def _suite_group(seed: int) -> list[Case]:
     return cases
 
 
-def _rr_product_channel(eps: float, n: int) -> bounds.FiniteChannel:
-    plus, minus = mechanisms.randomized_response(eps)
-    bit = bounds.FiniteChannel((1, -1), {1: plus, -1: minus})
-    return bounds.product_channel([bit] * n)
-
-
-def _prior_mi_rows(channel: bounds.FiniteChannel, params: acct.ZcdpParams, n: int):
-    """(prior, exact MI, its bound) on n bits: independent uniform bits, then all bits equal."""
-    priors = (
-        ("independent", OutcomeDist.uniform(channel.inputs), "independent"),
-        ("correlated", OutcomeDist(((1,) * n, (-1,) * n), (0.5, 0.5)), "general"),
-    )
-    return [
-        (name, bounds.mutual_information(prior, channel), bounds.mi_bound(params, n, structure))
-        for name, prior, structure in priors
-    ]
-
-
 def _suite_mi(seed: int) -> list[Case]:
     eps = 0.8
     rho = 0.5 * eps * eps
     params = acct.ZcdpParams(0.0, rho)
     cases = []
     for n in (2, 4, 6):
-        channel = _rr_product_channel(eps, n)
+        channel = bounds.rr_product_channel(eps, n)
         certified = bounds.certify_zcdp(channel, params)
         cases.append(Case(f"certify_product_channel_n{n}", certified, float(certified), 1.0))
-        for prior, mi, bound in _prior_mi_rows(channel, params, n):
+        for prior, mi, bound in bounds.prior_mi_rows(channel, params, n):
             cases.append(Case(f"{prior}_prior_n{n}", mi <= bound, mi, bound))
     for m, l in ((2, 2), (2, 3)):
         n = m * l
-        channel = _rr_product_channel(eps, n)
+        channel = bounds.rr_product_channel(eps, n)
         block_states = list(itertools.product((1, -1), repeat=m))
         prior_outcomes = tuple(
             tuple(itertools.chain.from_iterable((b,) * l for b in blocks))
@@ -245,7 +227,7 @@ def _suite_mi(seed: int) -> list[Case]:
         mi_blocks = bounds.mutual_information(prior, channel)
         bound_blocks = bounds.mi_bound(params, n, (m, l))
         cases.append(Case(f"block_prior_m{m}_l{l}", mi_blocks <= bound_blocks, mi_blocks, bound_blocks))
-    channel = _rr_product_channel(eps, 3)
+    channel = bounds.rr_product_channel(eps, 3)
     uniform = OutcomeDist.uniform(channel.inputs)
     before = bounds.mutual_information(uniform, channel)
     collapsed = bounds.channel_pushforward(channel, lambda y: y[0])

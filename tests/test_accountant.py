@@ -31,6 +31,7 @@ from cdpacct import (
     zcdp_to_dp_simple,
     zcdp_to_mcdp,
 )
+from cdpacct import accountant
 from cdpacct.accountant import MAX_GROUP_SIZE, bisect_monotone, geometric_scan
 
 
@@ -166,6 +167,14 @@ class TestGroupPrivacy:
 
     def test_rho_scales_with_k_squared(self):
         assert group_privacy(ZcdpParams(0.0, 0.1), 3).rho == pytest.approx(0.9, abs=1e-15)
+
+    def test_zero_xi_skips_the_harmonic_sum(self, monkeypatch):
+        def refuse(k):
+            raise AssertionError("harmonic sum computed for xi = 0")
+
+        monkeypatch.setattr(accountant, "_harmonic", refuse)
+        g = group_privacy(ZcdpParams(0.0, 0.1), 10**6)
+        assert (g.xi, g.rho) == (0.0, 0.1 * 10**6 * 10**6)
 
     def test_identity_at_k_one(self):
         p = ZcdpParams(0.3, 0.7)

@@ -259,14 +259,6 @@ class TestCurve:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_does_not_change_bytes(self, ledger_path, tmp_path, monkeypatch):
-        args = ["curve", "eps_of_delta", "--ledger", ledger_path, "--grid", "1e-8:0.1:25"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(a)]) == 0
-        monkeypatch.setenv("CDP_ACCT_THREADS", "4")
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_delta_curve_is_nonincreasing(self, ledger_path, tmp_path):
         out = tmp_path / "c.csv"
         for method in ("simple", "refined", "exact_gaussian"):

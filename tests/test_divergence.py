@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from cdpacct import (
     ALPHA_GRID,
@@ -17,6 +19,7 @@ from cdpacct import (
     pushforward,
     renyi_divergence,
 )
+from cdpacct.divergence import logsumexp
 from conftest import random_dist
 
 FINITE_ALPHAS = [a for a in ALPHA_GRID if not math.isinf(a)]
@@ -306,3 +309,53 @@ class TestTransforms:
         p1 = OutcomeDist((0, 1), (0.0, 1.0))
         m = mixture(p0, p1, 0.25)
         assert m.prob_of(1) == pytest.approx(0.25)
+
+
+class TestLogSumExp:
+    """The pure-Python kernel against scipy's, which the oracles keep using."""
+
+    def test_agrees_with_scipy_on_random_inputs(self):
+        rng = np.random.default_rng(20240806)
+        for _ in range(2000):
+            size = int(rng.integers(1, 65))
+            scale = float(rng.choice([1.0, 10.0, 100.0, 1000.0]))
+            terms = [float(t) for t in rng.uniform(-scale, scale, size)]
+            assert logsumexp(terms) == pytest.approx(float(scipy_logsumexp(terms)), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [-3.5],
+            [0.0],
+            [2.0] * 7,
+            [-700.0] * 40,
+            [1.0, math.inf, -2.0],
+            [math.inf, math.inf],
+            [-math.inf, 0.5, -1.0],
+            [-math.inf, -math.inf],
+        ],
+    )
+    def test_matches_scipy_on_edge_inputs(self, terms):
+        expected = float(scipy_logsumexp(terms))
+        got = logsumexp(terms)
+        if math.isinf(expected):
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    # D at orders 1, inf and 1e308, as computed with scipy's logsumexp.
+    @pytest.mark.parametrize(
+        "p, q, expected",
+        [
+            ((0.75, 0.25), (0.25, 0.75), (0.5493061443340548, 1.0986122886681096, 1.0986122886681096)),
+            ((0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1), (0.4564348191467835, 1.3862943611198904, 1.3862943611198904)),
+            ((0.5, 0.5, 0.0), (0.2, 0.3, 0.5), (0.7135581778200729, 0.916290731874155, 0.9162907318741551)),
+            ((0.2, 0.3, 0.5), (0.5, 0.5, 0.0), (math.inf, math.inf, math.inf)),
+            ((0.5, 0.5), (0.5 + 1e-12, 0.5 - 1e-12), (0.0, 1.999955756559757e-12, 1.999955756559757e-12)),
+            ((0.9, 0.1), (0.1, 0.9), (1.7577796618689754, 2.197224577336219, math.inf)),
+        ],
+    )
+    def test_extreme_orders_unchanged(self, p, q, expected):
+        labels = tuple(range(len(p)))
+        dp, dq = OutcomeDist(labels, p), OutcomeDist(labels, q)
+        assert tuple(renyi_divergence(dp, dq, a) for a in (1.0, math.inf, 1e308)) == expected
