@@ -4,9 +4,6 @@ Exact Renyi divergences for finite distributions and Gaussian mechanisms,
 budget tracking under composition and group privacy, conversions between
 privacy notions, information-theoretic bounds, and brute-force oracles
 that double-check every closed form.
-
-The oracles need numpy and scipy, so their names are imported on first
-use; the rest of the package is pure Python.
 """
 
 import types
@@ -76,36 +73,29 @@ from .mechanisms import (
     randomized_response,
     thresholded_gaussian,
 )
+from .oracle import (
+    McEstimate,
+    PinskerRecord,
+    QuadratureSpec,
+    ViolationRecord,
+    delta_exact_gaussian,
+    delta_from_pld,
+    delta_gaussian_mc,
+    gaussian_pld_discretized,
+    gaussian_renyi_quadrature,
+    hyperbolic_inequality_check,
+    mc_divergence_estimate,
+    mcdp_gaussian_check,
+    mcdp_postprocess_violation,
+    pinsker_check,
+)
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = (
-    "McEstimate", "PinskerRecord", "QuadratureSpec", "ViolationRecord",
-    "delta_exact_gaussian", "delta_from_pld", "delta_gaussian_mc",
-    "gaussian_pld_discretized", "gaussian_renyi_quadrature",
-    "hyperbolic_inequality_check", "mc_divergence_estimate",
-    "mcdp_gaussian_check", "mcdp_postprocess_violation", "pinsker_check",
-)
-
-# The public names imported above, and the oracle names; importing them
-# also binds the submodules here, which are not part of the API.
+# The public names imported above; importing them also binds the
+# submodules here, which are not part of the API.
 __all__ = sorted(
-    [
-        name
-        for name, value in globals().items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    ]
-    + list(_ORACLE_NAMES)
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 )
-
-
-def __getattr__(name: str):
-    if name not in _ORACLE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
-
-    return getattr(oracle, name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_ORACLE_NAMES))

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from .oracle import delta_exact_gaussian
+
 
 @dataclass(frozen=True)
 class ZcdpParams:
@@ -413,8 +415,6 @@ def _exact_gaussian(params: ZcdpParams) -> Callable[[float], float]:
     """The exact Gaussian delta(eps), which holds only for budgets with xi = 0 and rho > 0."""
     if params.xi != 0.0 or not params.rho > 0.0:
         raise ValueError("exact_gaussian requires a ledger with xi=0 and rho>0")
-    from .oracle import delta_exact_gaussian  # numpy and scipy load only for this method
-
     return functools.partial(delta_exact_gaussian, params.rho)
 
 

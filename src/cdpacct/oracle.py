@@ -4,17 +4,26 @@ The integrators here never call the closed forms they check: Gaussian
 divergences are integrated from the raw density ratio, delta curves are
 evaluated from the tail functional, and the counterexample quantities are
 assembled from first principles with high-precision normal tails.
+numpy and scipy are imported on the first call that needs them, so
+importing the package loads neither.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import erfcx, log_ndtr, logsumexp, ndtr
-
 from .divergence import OutcomeDist, PrivacyLossDist, aligned_probs, renyi_divergence
+
+
+@functools.cache
+def _numeric():
+    """(numpy, scipy.special), loaded on first use (~40 MB); cached, as a per-call import costs ~0.8 µs."""
+    import numpy
+    import scipy.special
+
+    return numpy, scipy.special
 
 
 @dataclass(frozen=True)
@@ -37,13 +46,14 @@ def _log_simpson(log_f, lo: float, hi: float, panels: int) -> float:
     panels must be even.  Weights are folded into the log-sum-exp so the
     integrand may span hundreds of orders of magnitude.
     """
+    np, special = _numeric()
     x = np.linspace(lo, hi, panels + 1)
     logs = np.array([log_f(v) for v in x])
     weights = np.full(panels + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     h = (hi - lo) / panels
-    return float(logsumexp(logs, b=weights)) + math.log(h / 3.0)
+    return float(special.logsumexp(logs, b=weights)) + math.log(h / 3.0)
 
 
 def _converged_log_simpson(
@@ -127,14 +137,15 @@ def delta_exact_gaussian(eta: float, eps: float) -> float:
     """
     if not eta > 0.0:
         raise ValueError("eta must be positive")
+    _, special = _numeric()
     s = math.sqrt(2.0 * eta)
     v, u = (eps - eta) / s, (eps + eta) / s
     if u < 0.0:  # eps < -eta: e^eps is below 1 and the tail above 1/2
-        first, second = float(ndtr(-v)), math.exp(eps) * float(ndtr(-u))
+        first, second = float(special.ndtr(-v)), math.exp(eps) * float(special.ndtr(-u))
     else:
         scale = 0.5 * math.exp(-0.5 * v * v)
-        first = scale * float(erfcx(v / math.sqrt(2.0))) if v >= 0.0 else float(ndtr(-v))
-        second = scale * float(erfcx(u / math.sqrt(2.0)))
+        first = scale * float(special.erfcx(v / math.sqrt(2.0))) if v >= 0.0 else float(special.ndtr(-v))
+        second = scale * float(special.erfcx(u / math.sqrt(2.0)))
     return min(1.0, max(0.0, first - second))
 
 
@@ -147,6 +158,7 @@ def delta_gaussian_mc(eta: float, eps: float, n_samples: int, seed: int) -> tupl
         raise ValueError("eta must be positive")
     if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
+    np, _ = _numeric()
     rng = np.random.default_rng(seed)
     z = rng.normal(eta, math.sqrt(2.0 * eta), size=n_samples)
     vals = np.maximum(0.0, -np.expm1(eps - z))
@@ -168,9 +180,10 @@ def gaussian_pld_discretized(
         raise ValueError("eta must be positive")
     if points < 2:
         raise ValueError("need at least 2 grid points")
+    np, special = _numeric()
     s = math.sqrt(2.0 * eta)
     edges = np.linspace(eta - half_width_sigmas * s, eta + half_width_sigmas * s, points + 1)
-    cdf = ndtr((edges - eta) / s)
+    cdf = special.ndtr((edges - eta) / s)
     mass = np.diff(cdf)
     mass[0] += cdf[0]
     mass[-1] += 1.0 - cdf[-1]
@@ -212,8 +225,9 @@ def mcdp_postprocess_violation(sigma: float, t: float, lam: float) -> ViolationR
     if not t > 1.0:
         raise ValueError("threshold must exceed 1")
     # P[N(0, sigma^2) > u] = ndtr(-u / sigma); keep everything in logs.
-    lp = float(log_ndtr(-(t - 1.0) / sigma))
-    lq = float(log_ndtr(-(t + 1.0) / sigma))
+    _, special = _numeric()
+    lp = float(special.log_ndtr(-(t - 1.0) / sigma))
+    lq = float(special.log_ndtr(-(t + 1.0) / sigma))
     p = math.exp(lp)
     q = math.exp(lq)
     ratio_log = lp - lq  # ln(p/q) > 0
@@ -323,6 +337,7 @@ def mc_divergence_estimate(
     if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
     q_aligned = aligned_probs(p, q)
+    np, _ = _numeric()
     rng = np.random.default_rng(seed)
     p_counts = rng.multinomial(n_samples, np.asarray(p.probs) / math.fsum(p.probs))
     q_counts = rng.multinomial(n_samples, np.asarray(q_aligned) / math.fsum(q_aligned))

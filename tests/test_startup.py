@@ -1,4 +1,4 @@
-"""Start-up: only the oracles and the verify suites load numpy and scipy."""
+"""Start-up: only oracle calls and the verify suites load numpy and scipy."""
 
 import json
 import os
@@ -9,7 +9,7 @@ from pathlib import Path
 import cdpacct
 from cdpacct import cli, verify
 
-# The package's public names; the oracle names among them resolve lazily.
+# The package's public names.
 PUBLIC_NAMES = [
     "ALPHA_GRID", "DpPoint", "ExpMechSpec", "FiniteChannel", "GaussianMech", "LedgerEntry",
     "McEstimate", "McdpParams", "MetricPointSet", "MultiGaussianMech", "OutcomeDist",
@@ -30,10 +30,10 @@ PUBLIC_NAMES = [
     "zcdp_to_dp_refined", "zcdp_to_dp_simple", "zcdp_to_mcdp",
 ]
 
-# Imports the CLI, runs four commands in-process and reports the heavy modules loaded.
+# Imports the CLI and the oracles, runs four commands in-process and reports the heavy modules loaded.
 PROBE = """
 import contextlib, io, json, sys
-import cdpacct.bounds
+import cdpacct.bounds, cdpacct.oracle
 from cdpacct import cli
 for argv in (["compose", "--ledger", sys.argv[1]], ["convert", "--rho", "0.5", "--delta", "1e-6"],
              ["group", "--rho", "0.1", "--k", "4"], ["mi-demo"]):
