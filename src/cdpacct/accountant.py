@@ -384,7 +384,11 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
     and gives +inf when delta_approx >= delta.  "simple" is closed-form; the
     others are strictly decreasing in eps, so a geometric scan brackets the
     root and bisection narrows it: to 1e-10 for "refined" (or one ulp where
-    wider), to 1e-12 absolute or relative for "exact_gaussian".
+    wider), to 1e-12 absolute or relative for "exact_gaussian".  Scan and
+    bisection run on a stand-in (_replayed) that calls delta_of_eps only
+    near a secant estimate of the root, seeded at xi + rho and the simple
+    conversion's eps, which is at or above both roots; the answer is the
+    same to the bit.
     """
     if method not in CURVE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
@@ -407,8 +411,63 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
         lo, step, atol, rtol = 0.0, 1.0, 1e-12, 1e-12
     if f(lo) <= prime:
         return lo
+    f = _replayed(f, prime, xi + rho, xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime)), 1.0)
     hi = geometric_scan(f, prime, lo, step)
     return bisect_monotone(f, prime, hi, lo, atol=atol, rtol=rtol)
+
+
+# Half-width of _replayed's window, relative to the root estimate.  The eps
+# searches floor it at 1e-12 absolute: the exact Gaussian curve's decisions
+# flip up to 6e-16 from its root (relative noise grows as rho shrinks); the
+# refined conversion, a chain of monotone roundings, never flips.
+_WINDOW = 1e-12
+
+
+def _replayed(
+    f: Callable[[float], float], target: float, x0: float, x1: float, floor: float = 0.0
+) -> Callable[[float], float]:
+    """A stand-in for a monotone f that decides f(x) <= target as f does, with far fewer calls.
+
+    geometric_scan and bisect_monotone use f only through those decisions.
+    Secant steps on sqrt(-log f) = sqrt(-log target), from x0 and x1, estimate
+    the root r; f is then evaluated at r - w and r + w, w = _WINDOW *
+    max(|r|, floor).  The stand-in calls f inside (r - w, r + w) and gives
+    f's value at the nearer window end elsewhere.  Its decisions, and so the
+    searches' answers and exceptions, are f's under this premise: the
+    computed f is monotone at separations >= w, so that outside the window
+    it lies on the same side of the target as the nearer end, and f raises
+    at none of the points the stand-in answers for it.  f itself is returned
+    when the estimate raises ArithmeticError or ValueError, or when the
+    window ends lie on the same side of the target.
+    """
+    lift = math.sqrt(-math.log(target))
+
+    def h(x: float) -> float:
+        return math.sqrt(-math.log(f(x))) - lift
+
+    try:
+        h0, h1 = h(x0), h(x1)
+        for _ in range(30):
+            x0, x1 = x1, x1 - h1 * (x1 - x0) / (h1 - h0)
+            w = _WINDOW * max(abs(x1), floor)
+            if abs(x1 - x0) <= 0.5 * w:
+                break
+            h0, h1 = h1, h(x1)
+        else:
+            return f
+        a, b = x1 - w, x1 + w
+        fa, fb = f(a), f(b)
+    except (ArithmeticError, ValueError):
+        return f
+    if (fa <= target) == (fb <= target):
+        return f
+
+    def replay(x: float) -> float:
+        if a < x < b:
+            return f(x)
+        return fa if x <= a else fb
+
+    return replay
 
 
 def _exact_gaussian(params: ZcdpParams) -> Callable[[float], float]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .accountant import ZcdpParams, bisect_monotone, geometric_scan, zcdp_to_dp_refined
+from .accountant import ZcdpParams, _replayed, bisect_monotone, geometric_scan, zcdp_to_dp_refined
 from .divergence import OutcomeDist, logsumexp
 
 
@@ -111,7 +111,12 @@ def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> floa
     at fixed eps the refined delta is increasing in rho, so the largest
     admissible rho gives the smallest sigma.  Working on rho makes the
     result exactly scale-invariant in the sensitivity.  The conversion needs
-    rho <= eps, which caps the search interval.
+    rho <= eps, which caps the search interval.  A scan halves rho from eps
+    until delta is met, and bisection narrows to one ulp.  Both run on a
+    stand-in (accountant._replayed) seeded at the simple conversion's root
+    rho0 = (sqrt(L + eps) - sqrt(L))^2, L = ln(1/delta), which is at most
+    the answer; it calls the conversion only near the root and gives the
+    same bits.
     """
     if not sensitivity > 0.0 or not eps > 0.0:
         raise ValueError("sensitivity and eps must be positive")
@@ -121,8 +126,11 @@ def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> floa
     def delta_at(rho: float) -> float:
         return zcdp_to_dp_refined(ZcdpParams(0.0, rho), eps)
 
-    lo = geometric_scan(delta_at, delta, 0.0, eps, 0.5)
-    rho_star = bisect_monotone(delta_at, delta, lo, eps, max_steps=200)
+    log_inv = math.log(1.0 / delta)
+    rho0 = (eps / (math.sqrt(log_inv + eps) + math.sqrt(log_inv))) ** 2
+    f = _replayed(delta_at, delta, rho0, min(eps, 1.25 * rho0))
+    lo = geometric_scan(f, delta, 0.0, eps, 0.5)
+    rho_star = bisect_monotone(f, delta, lo, eps, max_steps=200)
     return sensitivity / math.sqrt(2.0 * rho_star)
 
 
