@@ -384,7 +384,8 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
     and gives +inf when delta_approx >= delta.  "simple" is closed-form; the
     others are strictly decreasing in eps, so a geometric scan brackets the
     root and bisection narrows it: to 1e-10 for "refined" (or one ulp where
-    wider), to 1e-12 absolute or relative for "exact_gaussian".  Scan and
+    wider), to 1e-12 (or one ulp) for "exact_gaussian", so that its eps is
+    never above the refined one.  Scan and
     bisection run on a stand-in (_replayed) that calls delta_of_eps only
     near a secant estimate of the root, seeded at xi + rho and the simple
     conversion's eps, which is at or above both roots; the answer is the
@@ -408,7 +409,7 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
         f = functools.partial(zcdp_to_dp_refined, params._plain)
         lo, step, atol, rtol = xi + rho, max(1.0, math.sqrt(rho)), 1e-10, 0.0
     else:
-        lo, step, atol, rtol = 0.0, 1.0, 1e-12, 1e-12
+        lo, step, atol, rtol = 0.0, 1.0, 1e-12, 0.0
     if f(lo) <= prime:
         return lo
     f = _replayed(f, prime, xi + rho, xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime)), 1.0)

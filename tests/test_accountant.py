@@ -458,9 +458,19 @@ class TestCurveEvaluators:
     @pytest.mark.parametrize("rho", [1e19, 1e20, 1e30, 1e40, 1e100])
     def test_exact_gaussian_eps_not_below_rho(self, rho):
         # The exact delta at eps = rho is about 1/2, so eps at 1e-6 lies above
-        # rho, near rho + 9.5 sqrt(rho); the search stops within 1e-12 relative.
+        # rho, near rho + 9.5 sqrt(rho); the search stops within one ulp there.
         eps = eps_of_delta(ZcdpParams(0.0, rho), 1e-6, "exact_gaussian")
         assert rho <= eps <= (rho + 10.0 * math.sqrt(rho)) * (1.0 + 2e-12)
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-12, 1e-6, 0.1, 0.9])
+    def test_exact_gaussian_eps_not_above_refined(self, delta):
+        # The exact curve lies below the refined bound, so its eps may not be
+        # larger; a search stopping at 1e-12 relative gave larger eps above
+        # rho = 1e24, where that stop is wider than the gap between the two.
+        for e in range(-12, 401):
+            params = ZcdpParams(0.0, 10.0 ** (e / 4))
+            exact = eps_of_delta(params, delta, "exact_gaussian")
+            assert exact <= eps_of_delta(params, delta, "refined"), params
 
     def test_exact_gaussian_beyond_two_to_the_200(self):
         # The bracket once stopped doubling at 2^200 = 1.6e60 and returned it.
