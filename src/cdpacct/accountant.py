@@ -383,13 +383,12 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
     Inverts delta_of_eps at delta' = (delta - delta_approx) / (1 - delta_approx),
     and gives +inf when delta_approx >= delta.  "simple" is closed-form; the
     others are strictly decreasing in eps, so a geometric scan brackets the
-    root and bisection narrows it: to 1e-10 for "refined" (or one ulp where
-    wider), to 1e-12 (or one ulp) for "exact_gaussian", so that its eps is
-    never above the refined one.  Scan and
-    bisection run on a stand-in (_replayed) that calls delta_of_eps only
-    near a secant estimate of the root, seeded at xi + rho and the simple
-    conversion's eps, which is at or above both roots; the answer is the
-    same to the bit.
+    root and bisection narrows it: to 1e-10 for "refined" and to 1e-12 for
+    "exact_gaussian", or to one ulp where that is wider, so the exact eps is
+    never above the refined one.  Scan and bisection run on a stand-in
+    (_replayed) that calls the curve only near a secant estimate of the
+    root, seeded at xi + rho and at the simple conversion's eps, which is at
+    or above both roots; the answer is the plain search's to the bit.
     """
     if method not in CURVE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")

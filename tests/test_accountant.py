@@ -467,8 +467,8 @@ class TestCurveEvaluators:
         # The exact curve lies below the refined bound, so its eps may not be
         # larger; a search stopping at 1e-12 relative gave larger eps above
         # rho = 1e24, where that stop is wider than the gap between the two.
-        for e in range(-12, 401):
-            params = ZcdpParams(0.0, 10.0 ** (e / 4))
+        for e in range(-6, 201):
+            params = ZcdpParams(0.0, 10.0 ** (e / 2))
             exact = eps_of_delta(params, delta, "exact_gaussian")
             assert exact <= eps_of_delta(params, delta, "refined"), params
 
