@@ -112,11 +112,11 @@ def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> floa
     admissible rho gives the smallest sigma.  Working on rho makes the
     result exactly scale-invariant in the sensitivity.  The conversion needs
     rho <= eps, which caps the search interval.  A scan halves rho from eps
-    until delta is met, and bisection narrows to one ulp.  Both run on a
-    stand-in (accountant._replayed) seeded at the simple conversion's root
-    rho0 = (sqrt(L + eps) - sqrt(L))^2, L = ln(1/delta), which is at most
-    the answer; it calls the conversion only near the root and gives the
-    same bits.
+    until delta is met, and bisection narrows to one ulp in at most 200
+    steps.  Both run on a stand-in (accountant._replayed) seeded at the
+    simple conversion's root rho0 = (sqrt(L + eps) - sqrt(L))^2,
+    L = ln(1/delta), which is at most the refined root; it calls the
+    conversion only near the root and gives the plain search's bits.
     """
     if not sensitivity > 0.0 or not eps > 0.0:
         raise ValueError("sensitivity and eps must be positive")
