@@ -9,7 +9,6 @@ are probabilities and get clamped to [0, 1] after every closed form.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -303,19 +302,14 @@ def bisect_monotone(
     bad: float,
     *,
     atol: float = 0.0,
-    rtol: float = 0.0,
-    max_steps: int | None = None,
 ) -> float:
     """Halve a bracket with f(good) <= target < f(bad), f monotone; returns the final good end.
 
-    Stops when the bracket is no wider than max(atol, rtol * |good|), after
-    max_steps steps, or when the midpoint rounds to an endpoint (above 2^19,
-    adjacent floats are more than 1e-10 apart).
+    Stops when the bracket is no wider than atol or when the midpoint rounds
+    to an endpoint (above 2^19, adjacent floats are more than 1e-10 apart).
+    From finite ends that takes at most about 2,100 steps.
     """
-    for _ in itertools.count() if max_steps is None else range(max_steps):
-        width = abs(good - bad)
-        if width <= atol or (rtol and width <= rtol * abs(good)):
-            break
+    while abs(good - bad) > atol:
         mid = 0.5 * (good + bad)
         if mid == good or mid == bad:
             break
@@ -402,18 +396,19 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
     prime = (delta - da) / (1.0 - da)
     if rho == 0.0:
         return xi
+    simple = xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime))
     if method == "simple":
-        return xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime))
+        return simple
     if method == "refined":
         f = functools.partial(zcdp_to_dp_refined, params._plain)
-        lo, step, atol, rtol = xi + rho, max(1.0, math.sqrt(rho)), 1e-10, 0.0
+        lo, step, atol = xi + rho, max(1.0, math.sqrt(rho)), 1e-10
     else:
-        lo, step, atol, rtol = 0.0, 1.0, 1e-12, 0.0
+        lo, step, atol = 0.0, 1.0, 1e-12
     if f(lo) <= prime:
         return lo
-    f = _replayed(f, prime, xi + rho, xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime)), 1.0)
+    f = _replayed(f, prime, xi + rho, simple, 1.0)
     hi = geometric_scan(f, prime, lo, step)
-    return bisect_monotone(f, prime, hi, lo, atol=atol, rtol=rtol)
+    return bisect_monotone(f, prime, hi, lo, atol=atol)
 
 
 # Half-width of _replayed's window, relative to the root estimate.  The eps
