@@ -14,6 +14,7 @@ from cdpacct import (
     delta_gaussian_mc,
     divergence_from_loss,
     gaussian_pld_discretized,
+    gaussian_renyi,
     gaussian_renyi_quadrature,
     hyperbolic_inequality_check,
     loss_tail_bound,
@@ -35,6 +36,17 @@ class TestQuadrature:
             QuadratureSpec(half_width_sigmas=4.0)
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=0.0)
+
+    def test_matches_closed_form_on_grid(self):
+        # Acceptance criterion 01 covers positive shifts in the default window;
+        # here the shifts are negative and the window is the narrowest allowed.
+        spec = QuadratureSpec(half_width_sigmas=8.0)
+        for alpha in (1.5, 2.0, 5.0, 10.0):
+            for sigma in (0.5, 1.0, 2.0):
+                for shift in (-0.1, -1.0, -3.0):
+                    numeric = gaussian_renyi_quadrature(shift, sigma, alpha, spec)
+                    closed = gaussian_renyi(shift, sigma, alpha)
+                    assert abs(numeric - closed) <= 1e-6, (alpha, sigma, shift)
 
     def test_zero_shift_gives_zero(self):
         assert gaussian_renyi_quadrature(0.0, 1.0, 2.0) == pytest.approx(0.0, abs=1e-8)
