@@ -327,12 +327,17 @@ def geometric_scan(
 
     Grows (factor > 1) or shrinks (factor < 1) a bracket end for
     bisect_monotone.  Raises ValueError once the step leaves the positive
-    finite floats without meeting the target.
+    finite floats without meeting the target.  f is called once per distinct
+    x: while the step is below half an ulp of base, base + step rounds to
+    the x just rejected.
     """
+    last = math.nan
     while 0.0 < step < math.inf:
         x = base + step
-        if f(x) <= target:
-            return x
+        if x != last:
+            if f(x) <= target:
+                return x
+            last = x
         step *= factor
     raise ValueError("no value in floating-point range meets the target")
 

@@ -17,6 +17,7 @@ scientific notation, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,11 +48,7 @@ class CliError(Exception):
 
 
 def fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.11e}"
+    return format(x, ".11e")
 
 
 def finite_float(text: str) -> float:
@@ -317,7 +314,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(c.ok for c in cases) else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The cdpacct parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cdpacct",
         description="Concentrated differential privacy accounting.",

@@ -376,6 +376,17 @@ class TestGeometricScan:
         assert geometric_scan(lambda x: -x, -1e300, 0.0, 1.0) == 2.0**997
         assert geometric_scan(lambda x: x, 2.0**-1070, 0.0, 1.0, 0.5) == 2.0**-1070
 
+    def test_calls_f_once_per_distinct_point(self):
+        # Steps below half an ulp of 1e300 all round to 1e300 itself.
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return 2e300 - x
+
+        assert geometric_scan(f, 0.0, 1e300, 1.0) == 1e300 + 2.0**997
+        assert len(xs) == len(set(xs)) < 60
+
     @pytest.mark.parametrize("factor", [2.0, 0.5])
     def test_unreachable_target_raises(self, factor):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -74,6 +75,53 @@ class TestFmt:
         assert fmt(math.inf) == "inf"
         assert fmt(-math.inf) == "-inf"
         assert fmt(math.nan) == "nan"
+        assert fmt(-math.nan) == "nan"
+        assert fmt(-0.0) == "-0.00000000000e+00"
+
+
+class TestSharedParser:
+    """main parses with one parser per process, which keeps nothing from one call to the next."""
+
+    def test_one_parser_build_per_process(self, monkeypatch):
+        build_parser.cache_clear()
+        built = [0]
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(50):
+            assert main(["convert", "--eps", "0.7"]) == 0
+        # The top-level parser and its seven subcommands, each built once.
+        assert built[0] == 8
+
+    # A usage error from argparse, an I/O error and an overflow.
+    ERRORS = (
+        (["compose", "--delta", "1"], 2),
+        (["compose", "--ledger", "MISSING"], 3),
+        (["convert", "--rho", "1e300", "--delta", "1e-6"], 2),
+    )
+
+    def test_pins_hold_between_errors(self, tmp_path, capsys):
+        paths = {
+            "LEDGER": write_ledger(tmp_path, MIXED),
+            "PLAIN": write_ledger(tmp_path, PLAIN, "plain.json"),
+            "MISSING": str(tmp_path / "missing.json"),
+        }
+        errors = {}
+        for i, command in enumerate(sorted(OUTPUT_PINS)):
+            argv, code = self.ERRORS[i % len(self.ERRORS)]
+            try:
+                got = main([paths.get(a, a) for a in argv])
+            except SystemExit as exc:
+                got = exc.code
+            assert got == code
+            out, err = capsys.readouterr()
+            assert out == "" and err == errors.setdefault(i % len(self.ERRORS), err)
+            assert main([paths.get(a, a) for a in command.split()]) == 0
+            assert capsys.readouterr() == (OUTPUT_PINS[command], "")
 
 
 def assert_usage_error(argv, capsys):

@@ -164,6 +164,13 @@ class TestEvaluationCounts:
             calibrate_sigma_for_dp(1.0, rng.uniform(0.5, 2.0), log_uniform(rng, -12, -4))
         assert n <= refined_calls[0] <= 30 * n
 
+    def test_overflowing_eps_query(self, refined_calls):
+        # About 445 scan steps lie below half an ulp of xi + rho = 1e300 and
+        # round to the point just evaluated.
+        with pytest.raises(OverflowError):
+            eps_of_delta(ZcdpParams(0.0, 1e300), 1e-6)
+        assert refined_calls[0] <= 10
+
     def test_exact_gaussian_eps_query(self, monkeypatch):
         calls = [0]
         original = acct.delta_exact_gaussian
