@@ -76,6 +76,8 @@ def load_ledger(path: str) -> list[acct.LedgerEntry]:
             raw = fh.read()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read ledger {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_USAGE, f"{path}: ledger is not UTF-8: {exc.reason} at byte {exc.start}")
 
     def reject_constant(name: str) -> float:
         raise CliError(EXIT_USAGE, f"{path}: ledger numbers must be finite, got {name}")

@@ -45,8 +45,9 @@ PLAIN = {"entries": [e for e in MIXED["entries"] if e["kind"] in ("gaussian", "p
 
 # stdout of each command, byte for byte, keyed by its argv with LEDGER and
 # PLAIN standing for the two ledgers above.  exact_gaussian and the verify
-# suites conversions and appendix are left out: their last digits follow
-# the scipy version.
+# suite conversions are left out, as their last digits follow the
+# platform's libm erfc and exp; so is the appendix suite, whose digits
+# follow the scipy version.
 OUTPUT_PINS = json.loads((Path(__file__).parent / "cli_output_pins.json").read_text())
 
 
@@ -184,6 +185,13 @@ class TestCompose:
         assert main(["compose", "--ledger", path]) == 2
         err = capsys.readouterr().err
         assert ":3:" in err
+
+    def test_non_utf8_ledger_names_its_path(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff")
+        assert main(["compose", "--ledger", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0], err
 
     def test_empty_ledger_rejected(self, tmp_path, capsys):
         path = write_ledger(tmp_path, {"entries": []})

@@ -27,6 +27,7 @@ from cdpacct import (
     zcdp_to_dp_refined,
     zcdp_to_dp_simple,
 )
+from cdpacct.oracle import _erfcx
 from conftest import random_dist
 
 
@@ -104,6 +105,19 @@ def sixty_digit_delta(eta: float, eps: float) -> float:
         s = mpmath.sqrt(2 * eta)
         first = mpmath.ncdf(-(eps - eta) / s)
         return float(first - mpmath.exp(eps) * mpmath.ncdf(-(eps + eta) / s))
+
+
+class TestErfcx:
+    def test_matches_sixty_digit_arithmetic(self):
+        # Both branches and the switch at 26; scipy's erfcx reaches about 9e-16 here.
+        rng = random.Random(20261018)
+        xs = [math.exp(rng.uniform(math.log(1e-8), math.log(1e15))) for _ in range(400)]
+        xs += [rng.uniform(0.0, 40.0) for _ in range(400)]
+        xs += [0.0, 25.999, 26.0, 26.001]
+        with mpmath.workdps(60):
+            for x in xs:
+                expect = float(mpmath.erfc(x) * mpmath.exp(mpmath.mpf(x) ** 2))
+                assert _erfcx(x) == pytest.approx(expect, rel=2e-15, abs=0.0), x
 
 
 class TestDeltaExactGaussian:

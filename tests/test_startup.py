@@ -1,4 +1,8 @@
-"""Start-up: only oracle calls and the verify suites load numpy and scipy."""
+"""Start-up: only the verify suites and the oracles other than the exact-Gaussian delta load numpy and scipy.
+
+Every other command, exact-Gaussian curves and delta_exact_gaussian included,
+runs on the standard library.
+"""
 
 import json
 import os
@@ -30,15 +34,19 @@ PUBLIC_NAMES = [
     "zcdp_to_dp_refined", "zcdp_to_dp_simple", "zcdp_to_mcdp",
 ]
 
-# Imports the CLI and the oracles, runs four commands in-process and reports the heavy modules loaded.
+# Imports the CLI and the oracles, runs six commands in-process, calls the
+# exact-Gaussian delta directly and reports the heavy modules loaded.
 PROBE = """
 import contextlib, io, json, sys
 import cdpacct.bounds, cdpacct.oracle
 from cdpacct import cli
+exact = ["--ledger", sys.argv[1], "--method", "exact_gaussian", "--grid"]
 for argv in (["compose", "--ledger", sys.argv[1]], ["convert", "--rho", "0.5", "--delta", "1e-6"],
-             ["group", "--rho", "0.1", "--k", "4"], ["mi-demo"]):
+             ["group", "--rho", "0.1", "--k", "4"], ["mi-demo"],
+             ["curve", "delta_of_eps", *exact, "0:3:50"], ["curve", "eps_of_delta", *exact, "1e-9:1e-2:30"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+assert 0.0 < cdpacct.oracle.delta_exact_gaussian(0.5, 1.0) < 1.0
 print(json.dumps(sorted(m for m in ("numpy", "scipy") if m in sys.modules)))
 """
 
