@@ -3,7 +3,7 @@
 All operations are pure parameter arithmetic: composition and group scaling
 of concentrated-DP budgets, and conversions between pure DP, approximate
 DP, (approximate) zCDP, and the mean-concentrated variant.  Delta values
-are probabilities and get clamped to [0, 1] after every closed form.
+are probabilities and stay in [0, 1] after every closed form.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ class ZcdpParams:
             raise ValueError("rho must be nonnegative and finite")
         if not 0.0 <= self.delta_approx <= 1.0:
             raise ValueError("delta_approx must be in [0, 1]")
-
-    @functools.cached_property
-    def _plain(self) -> ZcdpParams:
-        # The budget with delta_approx = 0, built once: curves convert it per point.
-        return self if self.delta_approx == 0.0 else ZcdpParams(self.xi, self.rho)
 
 
 @dataclass(frozen=True)
@@ -197,27 +192,30 @@ def _simple_tail(xi: float, rho: float, eps: float) -> float:
 def zcdp_to_dp_refined(params: ZcdpParams, eps: float) -> float:
     """Best-branch delta at a requested eps >= xi + rho.
 
-    Evaluates e^{-(eps-xi-rho)^2 / 4 rho} times the minimum of the four
-    sharpening factors and clamps to [0, 1].  The plain budget's
-    delta_approx must be 0; approximate budgets go through
-    approx_zcdp_to_dp.
+    e^{-(eps-xi-rho)^2 / 4 rho} times the least of four sharpening factors,
+    1, sqrt(pi rho), 1/b and 2/(b + sqrt(b^2 + 4/(pi rho))) with b = 1 +
+    (eps-xi-rho)/(2 rho) >= 1.  The fourth is at most 2/(2b) = 1/b <= 1, in
+    floating point too, so only the second and fourth can win, and the
+    product lies in [0, 1] unclamped.  The second, 2/sqrt(4/(pi rho)), is
+    never below the fourth in exact arithmetic; it wins by one rounding
+    where rho b^2 is below about 1e-32.  The plain budget's delta_approx
+    must be 0; approximate budgets go through approx_zcdp_to_dp.
     """
     if params.delta_approx != 0.0:
         raise ValueError("refined conversion applies to plain budgets only")
     if not params.rho > 0.0:
         raise ValueError("refined conversion needs rho > 0")
-    xi, rho = params.xi, params.rho
-    if eps < xi + rho:
+    if not eps >= params.xi + params.rho:
         raise ValueError("refined conversion needs eps >= xi + rho")
+    return _refined(params.xi, params.rho, eps)
+
+
+def _refined(xi: float, rho: float, eps: float) -> float:
+    """zcdp_to_dp_refined on plain floats, unchecked: needs rho > 0 and eps >= xi + rho."""
     a = (eps - xi - rho) / (2.0 * rho)
-    lead = _simple_tail(xi, rho, eps)
-    branches = (
-        1.0,
-        math.sqrt(math.pi * rho),
-        1.0 / (1.0 + a),
-        2.0 / (1.0 + a + math.sqrt((1.0 + a) ** 2 + 4.0 / (math.pi * rho))),
-    )
-    return min(1.0, max(0.0, lead * min(branches)))
+    pi_rho = math.pi * rho
+    factor = min(math.sqrt(pi_rho), 2.0 / (1.0 + a + math.sqrt((1.0 + a) ** 2 + 4.0 / pi_rho)))
+    return _simple_tail(xi, rho, eps) * factor
 
 
 def pure_dp_to_zcdp(eps: float) -> tuple[ZcdpParams, ZcdpParams]:
@@ -288,11 +286,12 @@ def approx_zcdp_to_dp(params: ZcdpParams, eps: float) -> DpPoint:
     non-catastrophic branch and the failure masses combine as
     delta_approx + (1 - delta_approx) * delta'.
     """
-    if params.rho == 0.0:
-        return DpPoint(params.xi, params.delta_approx)
-    if eps < params.xi + params.rho:
+    xi, rho, da = params.xi, params.rho, params.delta_approx
+    if rho == 0.0:
+        return DpPoint(xi, da)
+    if not eps >= xi + rho:
         raise ValueError("refined conversion needs eps >= xi + rho")
-    return DpPoint(eps, delta_of_eps(params, eps, "refined"))
+    return DpPoint(eps, min(1.0, da + (1.0 - da) * _refined(xi, rho, eps)))
 
 
 def bisect_monotone(
@@ -361,6 +360,8 @@ def delta_of_eps(params: ZcdpParams, eps: float, method: str = "refined") -> flo
     2018) and raises ValueError unless xi = 0 and rho > 0.
     """
     xi, rho, da = params.xi, params.rho, params.delta_approx
+    if math.isnan(eps):
+        raise ValueError("eps must be a number, got nan")
     if method == "exact_gaussian":
         base = _exact_gaussian(params)(eps)
     elif method not in CURVE_METHODS:
@@ -372,7 +373,7 @@ def delta_of_eps(params: ZcdpParams, eps: float, method: str = "refined") -> flo
     elif method == "simple":
         base = _simple_tail(xi, rho, eps)
     else:
-        base = zcdp_to_dp_refined(params._plain, eps)
+        base = _refined(xi, rho, eps)
     return min(1.0, da + (1.0 - da) * base)
 
 
@@ -405,13 +406,13 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
     if method == "simple":
         return simple
     if method == "refined":
-        f = functools.partial(zcdp_to_dp_refined, params._plain)
-        lo, step, atol = xi + rho, max(1.0, math.sqrt(rho)), 1e-10
+        f = functools.partial(_refined, xi, rho)
+        lo, step, atol, domain = xi + rho, max(1.0, math.sqrt(rho)), 1e-10, xi + rho
     else:
-        lo, step, atol = 0.0, 1.0, 1e-12
+        lo, step, atol, domain = 0.0, 1.0, 1e-12, -math.inf
     if f(lo) <= prime:
         return lo
-    f = _replayed(f, prime, xi + rho, simple, 1.0)
+    f = _replayed(f, prime, xi + rho, simple, 1.0, lo=domain)
     hi = geometric_scan(f, prime, lo, step)
     return bisect_monotone(f, prime, hi, lo, atol=atol)
 
@@ -424,7 +425,8 @@ _WINDOW = 1e-12
 
 
 def _replayed(
-    f: Callable[[float], float], target: float, x0: float, x1: float, floor: float = 0.0
+    f: Callable[[float], float], target: float, x0: float, x1: float, floor: float = 0.0,
+    *, lo: float = -math.inf, hi: float = math.inf
 ) -> Callable[[float], float]:
     """A stand-in for a monotone f that decides f(x) <= target as f does, with far fewer calls.
 
@@ -437,13 +439,18 @@ def _replayed(
     computed f is monotone at separations >= w, so that outside the window
     it lies on the same side of the target as the nearer end, and f raises
     at none of the points the stand-in answers for it.  f itself is returned
-    when the estimate raises ArithmeticError or ValueError, or when the
-    window ends lie on the same side of the target.
+    when the estimate raises ArithmeticError or ValueError or leaves [lo, hi],
+    f's domain, or when the window ends lie on the same side of the target.
     """
     lift = math.sqrt(-math.log(target))
 
+    def checked(x: float) -> float:
+        if not lo <= x <= hi:
+            raise ValueError("outside the domain of f")
+        return f(x)
+
     def h(x: float) -> float:
-        return math.sqrt(-math.log(f(x))) - lift
+        return math.sqrt(-math.log(checked(x))) - lift
 
     try:
         h0, h1 = h(x0), h(x1)
@@ -456,7 +463,7 @@ def _replayed(
         else:
             return f
         a, b = x1 - w, x1 + w
-        fa, fb = f(a), f(b)
+        fa, fb = checked(a), checked(b)
     except (ArithmeticError, ValueError):
         return f
     if (fa <= target) == (fb <= target):

@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import sys
+from typing import NoReturn
 
 from . import accountant as acct
 from . import bounds, mechanisms
@@ -316,10 +317,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(c.ok for c in cases) else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one stderr line; subparsers inherit it.
+
+    argparse quotes most offending arguments with repr, but not unrecognized
+    ones, so newlines in the message are escaped.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        message = message.replace("\n", "\\n")
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The cdpacct parser, built once per process: parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdpacct",
         description="Concentrated differential privacy accounting.",
     )

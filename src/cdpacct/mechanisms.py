@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .accountant import ZcdpParams, _replayed, bisect_monotone, geometric_scan, zcdp_to_dp_refined
+from .accountant import _refined, _replayed, bisect_monotone, geometric_scan
 from .divergence import OutcomeDist, logsumexp
 
 
@@ -123,12 +123,11 @@ def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> floa
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
 
-    def delta_at(rho: float) -> float:
-        return zcdp_to_dp_refined(ZcdpParams(0.0, rho), eps)
-
     log_inv = math.log(1.0 / delta)
     rho0 = (eps / (math.sqrt(log_inv + eps) + math.sqrt(log_inv))) ** 2
-    f = _replayed(delta_at, delta, rho0, min(eps, 1.25 * rho0))
+    f = _replayed(
+        lambda rho: _refined(0.0, rho, eps), delta, rho0, min(eps, 1.25 * rho0), lo=0.0, hi=eps
+    )
     lo = geometric_scan(f, delta, 0.0, eps, 0.5)
     rho_star = bisect_monotone(f, delta, lo, eps)
     return sensitivity / math.sqrt(2.0 * rho_star)

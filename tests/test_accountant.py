@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 
 import numpy as np
@@ -203,6 +204,30 @@ class TestGroupPrivacy:
         assert time.perf_counter() - start < 1.0
 
 
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def branches(xi, rho, eps):
+    """The four sharpening factors of the refined conversion, as first written."""
+    a = (eps - xi - rho) / (2.0 * rho)
+    return (
+        1.0,
+        math.sqrt(math.pi * rho),
+        1.0 / (1.0 + a),
+        2.0 / (1.0 + a + math.sqrt((1.0 + a) ** 2 + 4.0 / (math.pi * rho))),
+    )
+
+
+def four_branch_refined(xi, rho, eps):
+    """The refined delta as first written: the tail times the least of all four factors, clamped."""
+    lead = math.exp(-((eps - xi - rho) ** 2) / (4.0 * rho))
+    return min(1.0, max(0.0, lead * min(branches(xi, rho, eps))))
+
+
 class TestDpConversions:
     def test_simple_eps_frozen_example(self):
         pt = zcdp_to_dp_simple(ZcdpParams(0.0, 0.5), math.exp(-1.0))
@@ -221,7 +246,29 @@ class TestDpConversions:
         with pytest.raises(ValueError):
             zcdp_to_dp_refined(ZcdpParams(0.0, 0.5), 0.4)
         with pytest.raises(ValueError):
+            zcdp_to_dp_refined(ZcdpParams(0.0, 0.5), math.nan)
+        with pytest.raises(ValueError):
             zcdp_to_dp_refined(ZcdpParams(0.0, 0.0), 1.0)
+
+    def test_kernel_matches_the_four_branch_minimum(self):
+        rng = random.Random(1201)
+        points = []
+        for i in range(100_000):
+            xi = (0.0, rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-6, 6))[i % 3]
+            rho = 10.0 ** rng.uniform(-150, 8) if i % 2 else 10.0 ** rng.uniform(-3, 8)
+            gap = (0.0, 10.0 ** rng.uniform(-8, 2) * math.sqrt(rho), 10.0 ** rng.uniform(-300, 300))[i % 5 % 3]
+            points.append((xi, rho, xi + rho + gap))
+        differ = [p for p in points if outcome(accountant._refined, *p) != outcome(four_branch_refined, *p)]
+        assert not differ, differ[:5]
+        # The points cover a = 0, sqrt(pi rho) >= 1, wins of the fourth factor
+        # and of the second (by one rounding, at rho (1+a)^2 below about 1e-32),
+        # and a fourth factor equal to 1/(1+a).
+        factors = [b for b in (outcome(branches, *p) for p in points) if isinstance(b, tuple)]
+        assert sum(b[2] == 1.0 for b in factors) > 10_000
+        assert sum(b[1] >= 1.0 for b in factors) > 10_000
+        assert sum(b[1] < b[3] for b in factors) > 1_000
+        assert sum(b[3] < b[1] for b in factors) > 10_000
+        assert sum(b[3] == b[2] for b in factors) > 1_000
 
     def test_refined_decreasing_in_eps(self):
         params = ZcdpParams(0.1, 0.4)
@@ -419,6 +466,14 @@ class TestCurveEvaluators:
         params = ZcdpParams(0.3, 0.5)
         assert delta_of_eps(params, 0.7, "simple") == 1.0
         assert delta_of_eps(params, 0.7, "refined") == 1.0
+
+    @pytest.mark.parametrize("method", ["simple", "refined", "exact_gaussian"])
+    @pytest.mark.parametrize(
+        "params", [ZcdpParams(0.0, 0.5), ZcdpParams(0.0, 0.5, 1e-9), ZcdpParams(0.2, 0.0)]
+    )
+    def test_nan_eps_rejected(self, params, method):
+        with pytest.raises(ValueError):
+            delta_of_eps(params, math.nan, method)
 
     def test_unknown_method_rejected(self):
         params = ZcdpParams(0.0, 0.5)

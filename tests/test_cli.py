@@ -126,14 +126,14 @@ class TestSharedParser:
 
 
 def assert_usage_error(argv, capsys):
-    """argv exits 2, from argparse or from the command, with a stderr free of tracebacks."""
+    """argv exits 2, from argparse or from the command, with one stderr line and no traceback."""
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     assert code == 2
     err = capsys.readouterr().err
-    assert err and "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
     return err
 
 
@@ -168,6 +168,16 @@ class TestFlags:
     def test_unread_flags_and_non_finite_numbers_exit_2(self, argv, ledger_path, capsys):
         argv = [ledger_path if a == "LEDGER" else a for a in argv]
         assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["compose", "--delta", "1"], "cdpacct compose: error: the following arguments are required: --ledger\n"),
+            (["compose", "--ledger", "x", "a\nb"], "cdpacct: error: unrecognized arguments: a\\nb\n"),
+        ],
+    )
+    def test_argparse_errors_are_the_error_line_alone(self, argv, line, capsys):
+        assert assert_usage_error(argv, capsys) == line
 
 
 class TestCompose:

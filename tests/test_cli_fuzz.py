@@ -2,9 +2,9 @@
 
 Exit codes are 0, 2 (usage or schema) and 3 (I/O); 1, a verification
 failure, only from verify and mi-demo.  Every error is one stderr line with
-no traceback.  Numeric flags are passed as --flag=VALUE, so that argparse
-takes values such as -1e308 as numbers and every error comes from cdpacct
-itself rather than from argparse's usage text.
+no traceback, whether cdpacct or argparse refuses the argv.  Numeric flags
+are passed as --flag=VALUE, so that argparse takes values such as -1e308 as
+numbers, or as --flag VALUE, where it takes them for an unknown option.
 """
 
 import contextlib
@@ -28,9 +28,13 @@ def powers(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
-# Edge values, values of the size real budgets have, and any finite float.
+# Values argparse refuses before any command runs.
+REFUSED_NUMBERS = ["nan", "inf", "-inf", "1e400", "x", ""]
+
+# Edge values, values of the size real budgets have, any finite float, and refused values.
 numbers = st.one_of(
     st.sampled_from(EDGE_NUMBERS),
+    st.sampled_from(REFUSED_NUMBERS),
     powers(-12, 6).map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
@@ -96,7 +100,7 @@ def grid(ends):
 
 
 def given_flag(name, values):
-    return values.map(lambda v: [f"--{name}={v}"])
+    return st.one_of(values.map(lambda v: [f"--{name}={v}"]), values.map(lambda v: [f"--{name}", str(v)]))
 
 
 def flag(name, values):
@@ -136,6 +140,11 @@ argvs = st.one_of(
     command("convert", rho, eps, out),
     command("convert", *(flag(n, numbers) for n in ("eps", "delta", "rho")), out),
     command("mi-demo", flag("eps", numbers), flag("k", st.sampled_from([-1, 0, 1, 3, 8, 9])), out),
+    # Unknown commands and flags, missing values, and stray arguments.
+    st.tuples(
+        st.sampled_from(["compose", "curve", "calibrate", "group", "convert", "mi-demo", "verify", "bogus"]),
+        st.lists(st.sampled_from(["--delta", "1", "--bogus", "--ledger", "--k", "-1e308", "x", "a\nb"]), max_size=4),
+    ).map(lambda t: [t[0], *t[1]]),
 )
 
 
@@ -166,8 +175,10 @@ def assert_contract(argv, code, err):
     allowed = {0, 1, 2, 3} if argv[0] in ("verify", "mi-demo") else {0, 2, 3}
     assert code in allowed, (argv, code, err)
     assert "Traceback" not in err, (argv, err)
-    assert err.count("\n") <= 1 and (err == "" or err.endswith("\n")), (argv, err)
-    assert (code in (2, 3)) == (err != ""), (argv, code, err)
+    if code in (2, 3):
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    else:
+        assert err == "", (argv, code, err)
 
 
 @settings(max_examples=300, deadline=5000, derandomize=True, database=None)

@@ -5,6 +5,7 @@ search gives them, and it must actually save evaluations: a stand-in that
 silently fell back to the plain conversion would pass the first check only.
 """
 
+import math
 import random
 
 import pytest
@@ -28,7 +29,7 @@ def plain(monkeypatch):
     def run(fn, *args):
         with monkeypatch.context() as m:
             for module in (acct, mech):
-                m.setattr(module, "_replayed", lambda f, *rest: f)
+                m.setattr(module, "_replayed", lambda f, *rest, **domain: f)
             return outcome(fn, *args)
 
     return run
@@ -131,18 +132,30 @@ class TestSameAnswersAsThePlainSearch:
         assert plain(calibrate_sigma_for_dp, 1.0, eps, 1e-6) is OverflowError
 
 
+def test_an_estimate_outside_the_domain_gives_back_f():
+    # f is monotone only on its domain x >= 0.5.  The secant from 4 and 9
+    # lands on -1, where f also meets the target; a window there would
+    # reverse every decision of the searches above 0.5.
+    def f(x):
+        return math.exp(-abs(x))
+
+    target = math.exp(-1.0)
+    assert acct._replayed(f, target, 4.0, 9.0, lo=0.5) is f
+    assert acct._replayed(f, target, 4.0, 9.0) is not f
+
+
 @pytest.fixture
 def refined_calls(monkeypatch):
-    """A one-element list counting calls of zcdp_to_dp_refined from either module."""
+    """A one-element list counting calls of the refined kernel from either module."""
     calls = [0]
-    original = acct.zcdp_to_dp_refined
+    original = acct._refined
 
-    def counted(params, eps):
+    def counted(xi, rho, eps):
         calls[0] += 1
-        return original(params, eps)
+        return original(xi, rho, eps)
 
     for module in (acct, mech):
-        monkeypatch.setattr(module, "zcdp_to_dp_refined", counted)
+        monkeypatch.setattr(module, "_refined", counted)
     return calls
 
 
