@@ -357,7 +357,7 @@ def delta_of_eps(params: ZcdpParams, eps: float, method: str = "refined") -> flo
 
     delta' is 1 below eps = xi + rho for the closed forms; "exact_gaussian"
     is the exact curve of a Gaussian mechanism with this rho (Balle & Wang
-    2018) and raises ValueError unless xi = 0 and rho > 0.
+    2018) and raises ValueError unless xi = 0 and rho >= MIN_EXACT_RHO.
     """
     xi, rho, da = params.xi, params.rho, params.delta_approx
     if math.isnan(eps):
@@ -477,10 +477,23 @@ def _replayed(
     return replay
 
 
+# Least rho for "exact_gaussian".  Its two tails, both near 1/2, differ by
+# O(sqrt(rho)), so delta's relative error grows as 2e-14/sqrt(rho): 2e-10 here,
+# 1e-2 at rho = 1e-24, and further down delta is mostly understated.
+MIN_EXACT_RHO = 1e-8
+
+
 def _exact_gaussian(params: ZcdpParams) -> Callable[[float], float]:
-    """The exact Gaussian delta(eps), which holds only for budgets with xi = 0 and rho > 0."""
+    """The exact Gaussian delta(eps), which holds only for budgets with xi = 0 and rho > 0.
+
+    Below MIN_EXACT_RHO it would understate delta, so it raises there too.
+    """
     if params.xi != 0.0 or not params.rho > 0.0:
         raise ValueError("exact_gaussian requires a ledger with xi=0 and rho>0")
+    if params.rho < MIN_EXACT_RHO:
+        raise ValueError(
+            f"exact_gaussian requires rho >= {MIN_EXACT_RHO:g}, below which its delta is inaccurate"
+        )
     return functools.partial(delta_exact_gaussian, params.rho)
 
 

@@ -33,7 +33,7 @@ EXIT_IO = 3
 
 REPORT_DELTAS = (1e-5, 1e-6, 1e-8)
 
-# sorted(verify.SUITES), listed here so that parsing does not load numpy and scipy.
+# sorted(verify.SUITES), listed here so that parsing does not load verify and numpy.
 VERIFY_SUITES = ("appendix", "conversions", "divergence", "group", "mi", "packing")
 
 # Most points a curve may have: the grid is checked before any is computed.

@@ -33,7 +33,7 @@ from cdpacct import (
     zcdp_to_mcdp,
 )
 from cdpacct import accountant
-from cdpacct.accountant import MAX_GROUP_SIZE, bisect_monotone, geometric_scan
+from cdpacct.accountant import MAX_GROUP_SIZE, MIN_EXACT_RHO, bisect_monotone, geometric_scan
 
 
 class TestParamTypes:
@@ -490,6 +490,22 @@ class TestCurveEvaluators:
             delta_of_eps(params, 1.0, "exact_gaussian")
         with pytest.raises(ValueError, match="xi=0 and rho>0"):
             eps_of_delta(params, 1e-6, "exact_gaussian")
+
+    @pytest.mark.parametrize("rho", [1e-40, 5e-101, math.nextafter(MIN_EXACT_RHO, 0.0)])
+    def test_exact_gaussian_refuses_rho_below_its_floor(self, rho):
+        # At rho = 1e-40 the exact curve read delta 0 at eps 0, where it is
+        # sqrt(rho/pi) = 5.6e-21, and so claimed (0, 1e-22).
+        params = ZcdpParams(0.0, rho)
+        with pytest.raises(ValueError, match="rho >= 1e-08"):
+            delta_of_eps(params, 0.0, "exact_gaussian")
+        with pytest.raises(ValueError, match="rho >= 1e-08"):
+            eps_of_delta(params, 1e-22, "exact_gaussian")
+
+    def test_exact_gaussian_holds_at_its_floor(self):
+        params = ZcdpParams(0.0, MIN_EXACT_RHO)
+        eps = eps_of_delta(params, 1e-6, "exact_gaussian")
+        assert delta_of_eps(params, eps, "exact_gaussian") <= 1e-6
+        assert eps <= eps_of_delta(params, 1e-6, "refined")
 
     @pytest.mark.parametrize("method", ["simple", "refined", "exact_gaussian"])
     def test_vacuous_budget_has_no_finite_eps(self, method):

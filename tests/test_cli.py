@@ -47,7 +47,7 @@ PLAIN = {"entries": [e for e in MIXED["entries"] if e["kind"] in ("gaussian", "p
 # PLAIN standing for the two ledgers above.  exact_gaussian and the verify
 # suite conversions are left out, as their last digits follow the
 # platform's libm erfc and exp; so is the appendix suite, whose digits
-# follow the scipy version.
+# follow the numpy version and libm.
 OUTPUT_PINS = json.loads((Path(__file__).parent / "cli_output_pins.json").read_text())
 
 
@@ -447,6 +447,18 @@ class TestCurve:
         argv += ["--method", "exact_gaussian"]
         err = assert_usage_error(argv, capsys)
         assert err == "error: exact_gaussian requires a ledger with xi=0 and rho>0\n"
+
+    @pytest.mark.parametrize("target", ["delta_of_eps", "eps_of_delta"])
+    def test_exact_gaussian_refuses_rho_below_its_floor(self, tmp_path, target, capsys):
+        # rho = 5e-101, where the exact curve once printed delta 0 at every eps.
+        entry = {"kind": "gaussian", "params": {"sensitivity": 1e-50, "sigma": 1.0}}
+        path = write_ledger(tmp_path, {"entries": [entry]})
+        argv = ["curve", target, "--ledger", path, "--grid", "0.1:0.5:3"]
+        argv += ["--method", "exact_gaussian"]
+        err = assert_usage_error(argv, capsys)
+        assert err == (
+            "error: exact_gaussian requires rho >= 1e-08, below which its delta is inaccurate\n"
+        )
 
     def test_unwritable_out_is_io_error(self, ledger_path, tmp_path):
         rc = main(

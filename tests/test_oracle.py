@@ -27,7 +27,7 @@ from cdpacct import (
     zcdp_to_dp_refined,
     zcdp_to_dp_simple,
 )
-from cdpacct.oracle import _erfcx
+from cdpacct.oracle import _erfcx, _log_upper_tail
 from conftest import random_dist
 
 
@@ -120,6 +120,18 @@ class TestErfcx:
                 assert _erfcx(x) == pytest.approx(expect, rel=2e-15, abs=0.0), x
 
 
+class TestLogUpperTail:
+    def test_matches_sixty_digit_arithmetic(self):
+        # From where the tail is about 1/2 to where it is e^(-5e19).
+        rng = random.Random(20261019)
+        xs = [math.exp(rng.uniform(math.log(1e-8), math.log(1e10))) for _ in range(1000)]
+        xs += [1e-8, 26.0 * math.sqrt(2.0), 1e10]
+        with mpmath.workdps(60):
+            for x in xs:
+                expect = float(mpmath.log(mpmath.ncdf(-mpmath.mpf(x))))
+                assert _log_upper_tail(x) == pytest.approx(expect, rel=1e-15, abs=0.0), x
+
+
 class TestDeltaExactGaussian:
     def test_zero_eps_is_tv_of_unit_shift(self):
         # eta = 1/2 corresponds to N(0,1) vs N(1,1): TV = 2*Phi(1/2) - 1
@@ -168,6 +180,19 @@ class TestDeltaExactGaussian:
             expect = sixty_digit_delta(eta, eps)
             if expect > 1e-300:
                 assert delta_exact_gaussian(eta, eps) == pytest.approx(expect, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("eta", [1e-8, 1e-6])
+    def test_error_bound_at_small_eta(self, eta):
+        # Both tails are near 1/2 and differ by O(sqrt(eta)), so the relative
+        # error grows as eta shrinks: the docstring's 2e-14/sqrt(eta), which is
+        # 2e-10 at the accountant's floor MIN_EXACT_RHO = 1e-8.
+        hi = eta + 40.0 * math.sqrt(2.0 * eta)
+        for i in range(365):
+            eps = hi * i / 364
+            expect = sixty_digit_delta(eta, eps)
+            if expect > 1e-300:
+                bound = 2e-14 / math.sqrt(eta)
+                assert delta_exact_gaussian(eta, eps) == pytest.approx(expect, rel=bound, abs=0.0)
 
     def test_negative_eps_matches_sixty_digit_arithmetic(self):
         for eta in (1e-4, 0.5, 30.0):

@@ -1,7 +1,8 @@
-"""Start-up: only the verify suites and the oracles other than the exact-Gaussian delta load numpy and scipy.
+"""Start-up: only the verify suites and the numpy oracles load numpy, and nothing needs scipy.
 
 Every other command, exact-Gaussian curves and delta_exact_gaussian included,
-runs on the standard library.
+runs on the standard library.  The numpy oracles are the quadrature, Monte
+Carlo and discretized-PLD ones.
 """
 
 import json
@@ -51,21 +52,47 @@ print(json.dumps(sorted(m for m in ("numpy", "scipy") if m in sys.modules)))
 """
 
 
-def test_cli_commands_load_neither_numpy_nor_scipy(tmp_path):
-    ledger = tmp_path / "ledger.json"
-    entry = {"kind": "gaussian", "params": {"sensitivity": 1.0, "sigma": 2.0}}
-    ledger.write_text(json.dumps({"entries": [entry]}))
+# Blocks scipy, then runs the appendix suite, every oracle that once called
+# scipy and both Monte Carlo estimators.
+NO_SCIPY_PROBE = """
+import contextlib, io, sys
+sys.modules["scipy"] = None
+from cdpacct import OutcomeDist, cli, oracle
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "appendix"]) == 0
+assert abs(oracle.gaussian_renyi_quadrature(1.0, 1.0, 2.0) - 1.0) < 1e-8
+assert not oracle.mcdp_gaussian_check(1.0, 0.5).violated
+assert oracle.mcdp_postprocess_violation(1.0, 3.0, 2.0).violated
+assert len(oracle.gaussian_pld_discretized(0.5).losses) == 4000
+assert 0.0 < oracle.delta_gaussian_mc(0.5, 1.0, 10**4, seed=1)[0] < 1.0
+p, q = OutcomeDist((0, 1), (0.75, 0.25)), OutcomeDist((0, 1), (0.25, 0.75))
+assert not oracle.mc_divergence_estimate(p, q, 2.0, 10**4, seed=1).support_violation
+"""
+
+
+def run_probe(probe, *args):
     src = str(Path(cdpacct.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(ledger)],
+        [sys.executable, "-c", probe, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return proc.stdout
+
+
+def test_cli_commands_load_neither_numpy_nor_scipy(tmp_path):
+    ledger = tmp_path / "ledger.json"
+    entry = {"kind": "gaussian", "params": {"sensitivity": 1.0, "sigma": 2.0}}
+    ledger.write_text(json.dumps({"entries": [entry]}))
+    assert json.loads(run_probe(PROBE, str(ledger))) == []
+
+
+def test_oracles_and_verify_suites_run_without_scipy():
+    run_probe(NO_SCIPY_PROBE)
 
 
 def test_public_names_unchanged_and_all_resolve():
