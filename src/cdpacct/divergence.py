@@ -249,12 +249,12 @@ def loss_tail_bound(xi: float, rho: float, lam: float) -> float:
     """Subgaussian tail bound on P[Z > lam + xi + rho] for a certified loss.
 
     A privacy loss certified at (xi, rho) satisfies this bound for every
-    lam > 0.  With rho = 0 the loss never exceeds xi, so the bound is 0.
+    lam >= 0.  With rho = 0 the loss never exceeds xi, so the bound is 0.
     """
-    if xi < 0.0 or rho < 0.0:
-        raise ValueError("xi and rho must be nonnegative")
-    if lam < 0.0:
-        raise ValueError("lambda must be positive")
+    if not (0.0 <= xi < math.inf and 0.0 <= rho < math.inf):
+        raise ValueError("xi and rho must be finite and nonnegative")
+    if not lam >= 0.0:
+        raise ValueError("lambda must be nonnegative")
     if rho == 0.0:
         return 0.0
     return math.exp(-lam * lam / (4.0 * rho))

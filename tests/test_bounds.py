@@ -1,9 +1,12 @@
+import collections
 import itertools
 import math
+import random
 
 import pytest
 
 from cdpacct import (
+    ALPHA_GRID,
     FiniteChannel,
     MetricPointSet,
     OutcomeDist,
@@ -19,6 +22,7 @@ from cdpacct import (
     randomized_response,
     renyi_divergence,
 )
+from cdpacct import divergence
 from conftest import random_dist
 
 
@@ -165,6 +169,91 @@ class TestCertification:
         assert certify_zcdp(
             ch, ZcdpParams(0.0, 9 * 0.5 * eps * eps), adjacency=all_pairs
         )
+
+    def test_empty_order_grid_is_refused(self):
+        with pytest.raises(ValueError, match="at least one order"):
+            certify_zcdp(rr_product(1.0, 2), ZcdpParams(0.0, 1e-9), alphas=())
+
+    def test_adjacency_naming_an_unknown_input_is_refused(self):
+        ch = rr_product(1.0, 2)
+        with pytest.raises(ValueError, match=r"\(5, 5\)"):
+            certify_zcdp(ch, ZcdpParams(0.0, 1.0), adjacency=[((1, 1), (5, 5))])
+        with pytest.raises(ValueError, match="'x'"):
+            certify_zcdp(ch, ZcdpParams(0.0, 1.0), adjacency=[("x", (1, 1))])
+
+    def test_bad_order_raises_only_when_reached(self):
+        ch, tight = rr_channel(0.8), ZcdpParams(0.0, 0.01)
+        # Order 1 is violated first, so the bad order after it is never read.
+        assert certify_zcdp(ch, tight, alphas=(1.0, 0.5)) is False
+        with pytest.raises(ValueError, match="order"):
+            certify_zcdp(ch, tight, alphas=(0.5, 1.0))
+        with pytest.raises(ValueError, match="order"):
+            certify_zcdp(ch, ZcdpParams(0.0, 0.32), alphas=(1.0, 0.5))
+
+    def test_one_loss_pass_per_direction(self, monkeypatch):
+        calls = []
+        real = divergence.aligned_probs
+        monkeypatch.setattr(divergence, "aligned_probs", lambda p, q: calls.append(1) or real(p, q))
+        ch = rr_product(0.6, 3)
+        assert certify_zcdp(ch, ZcdpParams(0.0, 0.18))
+        # 12 Hamming-1 pairs of 3-bit inputs, one alignment per direction.
+        assert len(calls) == 2 * 12
+
+    def test_verdicts_match_one_divergence_call_per_order(self):
+        rng = random.Random(20241019)
+        grids = (ALPHA_GRID, (2.0, math.inf), (1.0,), (math.inf,))
+        verdicts = collections.Counter()
+        for _ in range(3000):
+            channel = random_channel(rng)
+            params = ZcdpParams(
+                rng.choice((0.0, rng.uniform(0.0, 2.0))),
+                rng.choice((0.0, 10.0 ** rng.uniform(-3.0, 1.0))),
+            )
+            alphas = rng.choice(grids)
+            got = outcome(certify_zcdp, channel, params, alphas)
+            assert got == outcome(per_order_certify, channel, params, alphas)
+            verdicts[got] += 1
+        assert set(verdicts) == {True, False}
+        assert verdicts[True] >= 300 and verdicts[False] >= 300
+
+
+def random_channel(rng: random.Random) -> FiniteChannel:
+    """2 to 5 inputs over 2 to 4 outcomes; about one mass in six is 0."""
+    outcomes = tuple(range(rng.randint(2, 4)))
+    inputs = tuple(range(rng.randint(2, 5)))
+    conditionals = {}
+    for x in inputs:
+        weights = [0.0 if rng.random() < 1 / 6 else rng.uniform(0.5, 1.0) for _ in outcomes]
+        if not any(weights):
+            weights[rng.randrange(len(weights))] = 1.0
+        total = math.fsum(weights)
+        conditionals[x] = OutcomeDist(outcomes, tuple(w / total for w in weights))
+    return FiniteChannel(inputs, conditionals)
+
+
+def per_order_certify(channel, params, alphas):
+    """The certificate with one renyi_divergence call per order and direction."""
+    for a, b in itertools.combinations(channel.inputs, 2):
+        da, db = channel.conditionals[a], channel.conditionals[b]
+        for alpha in alphas:
+            if math.isinf(alpha):
+                if params.rho > 0.0:
+                    continue
+                bound = params.xi
+            else:
+                bound = params.xi + params.rho * alpha
+            if renyi_divergence(da, db, alpha) > bound + 1e-9:
+                return False
+            if renyi_divergence(db, da, alpha) > bound + 1e-9:
+                return False
+    return True
+
+
+def outcome(certify, channel, params, alphas):
+    try:
+        return certify(channel, params, alphas)
+    except Exception as exc:  # the exception type is part of the answer
+        return type(exc)
 
 
 class TestMetricPointSet:

@@ -284,6 +284,23 @@ class TestPrivacyLossDist:
         assert loss_tail_bound(0.5, 0.0, 1.0) == 0.0
         assert loss_tail_bound(0.0, 0.5, 2.0) == pytest.approx(math.exp(-2.0), abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "xi, rho",
+        [(math.nan, 0.5), (math.inf, 0.5), (0.0, math.nan), (0.0, math.inf), (-1.0, 0.5), (0.0, -0.5)],
+    )
+    def test_loss_tail_bound_rejects_bad_xi_and_rho(self, xi, rho):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            loss_tail_bound(xi, rho, 1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, -1.0, -math.inf])
+    def test_loss_tail_bound_rejects_bad_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be nonnegative"):
+            loss_tail_bound(0.0, 1.0, lam)
+
+    def test_loss_tail_bound_accepts_lambda_zero_and_inf(self):
+        assert loss_tail_bound(0.0, 1.0, 0.0) == 1.0
+        assert loss_tail_bound(0.0, 1.0, math.inf) == 0.0
+
 
 class TestTransforms:
     def test_pushforward_with_mapping_and_callable(self):
