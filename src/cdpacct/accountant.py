@@ -294,57 +294,10 @@ def approx_zcdp_to_dp(params: ZcdpParams, eps: float) -> DpPoint:
     return DpPoint(eps, min(1.0, da + (1.0 - da) * _refined(xi, rho, eps)))
 
 
-def bisect_monotone(
-    f: Callable[[float], float],
-    target: float,
-    good: float,
-    bad: float,
-    *,
-    atol: float = 0.0,
-) -> float:
-    """Halve a bracket with f(good) <= target < f(bad), f monotone; returns the final good end.
-
-    Stops when the bracket is no wider than atol or when the midpoint rounds
-    to an endpoint (above 2^19, adjacent floats are more than 1e-10 apart).
-    From finite ends that takes at most about 2,100 steps.
-    """
-    while abs(good - bad) > atol:
-        mid = 0.5 * (good + bad)
-        if mid == good or mid == bad:
-            break
-        if f(mid) <= target:
-            good = mid
-        else:
-            bad = mid
-    return good
-
-
-def geometric_scan(
-    f: Callable[[float], float], target: float, base: float, step: float, factor: float = 2.0
-) -> float:
-    """First x = base + step * factor**i (i = 0, 1, ...) with f(x) <= target, f monotone.
-
-    Grows (factor > 1) or shrinks (factor < 1) a bracket end for
-    bisect_monotone.  Raises ValueError once the step leaves the positive
-    finite floats without meeting the target.  f is called once per distinct
-    x: while the step is below half an ulp of base, base + step rounds to
-    the x just rejected.
-    """
-    last = math.nan
-    while 0.0 < step < math.inf:
-        x = base + step
-        if x != last:
-            if f(x) <= target:
-                return x
-            last = x
-        step *= factor
-    raise ValueError("no value in floating-point range meets the target")
-
-
 def eps_for_delta(params: ZcdpParams, delta: float) -> float:
     """Smallest eps (to 1e-10, or one ulp where wider) whose refined delta meets the target.
 
-    The same as eps_of_delta(params, delta, "refined").
+    The same as eps_of_delta(params, delta, "refined"), found by _search.
     """
     return eps_of_delta(params, delta, "refined")
 
@@ -382,13 +335,14 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
 
     Inverts delta_of_eps at delta' = (delta - delta_approx) / (1 - delta_approx),
     and gives +inf when delta_approx >= delta.  "simple" is closed-form; the
-    others are strictly decreasing in eps, so a geometric scan brackets the
-    root and bisection narrows it: to 1e-10 for "refined" and to 1e-12 for
-    "exact_gaussian", or to one ulp where that is wider, so the exact eps is
-    never above the refined one.  Scan and bisection run on a stand-in
-    (_replayed) that calls the curve only near a secant estimate of the
-    root, seeded at xi + rho and at the simple conversion's eps, which is at
-    or above both roots; the answer is the plain search's to the bit.
+    others are strictly decreasing in eps and go through one _search: a
+    scan doubling its step up from xi + rho ("refined") or 0
+    ("exact_gaussian"), then bisection to 1e-10 or 1e-12, or to one ulp
+    where that is wider, so the exact eps is never above the refined one.
+    The search calls the curve only near a secant estimate of the root,
+    seeded at the scan's start and at the simple conversion's eps, which is
+    at or above both roots; the answer is a plain scan and bisection's to
+    the bit.
     """
     if method not in CURVE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
@@ -406,43 +360,57 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
     if method == "simple":
         return simple
     if method == "refined":
-        f = functools.partial(_refined, xi, rho)
-        lo, step, atol, domain = xi + rho, max(1.0, math.sqrt(rho)), 1e-10, xi + rho
-    else:
-        lo, step, atol, domain = 0.0, 1.0, 1e-12, -math.inf
-    if f(lo) <= prime:
-        return lo
-    f = _replayed(f, prime, xi + rho, simple, 1.0, lo=domain)
-    hi = geometric_scan(f, prime, lo, step)
-    return bisect_monotone(f, prime, hi, lo, atol=atol)
+        lo = xi + rho
+        return _search(
+            functools.partial(_refined, xi, rho), prime, lo, lo, max(1.0, math.sqrt(rho)), 2.0,
+            1e-10, (lo, simple), 1.0, lo=lo,
+        )
+    return _search(f, prime, 0.0, 0.0, 1.0, 2.0, 1e-12, (0.0, simple), 1.0)
 
 
-# Half-width of _replayed's window, relative to the root estimate.  The eps
+# Half-width of _search's window, relative to the root estimate.  The eps
 # searches floor it at 1e-12 absolute: the exact Gaussian curve's decisions
 # flip up to 6e-16 from its root (relative noise grows as rho shrinks); the
 # refined conversion, a chain of monotone roundings, never flips.
 _WINDOW = 1e-12
 
 
-def _replayed(
-    f: Callable[[float], float], target: float, x0: float, x1: float, floor: float = 0.0,
-    *, lo: float = -math.inf, hi: float = math.inf
-) -> Callable[[float], float]:
-    """A stand-in for a monotone f that decides f(x) <= target as f does, with far fewer calls.
+def _search(
+    f: Callable[[float], float],
+    target: float,
+    end: float,
+    base: float,
+    step: float,
+    factor: float,
+    atol: float,
+    seeds: tuple[float, float],
+    floor: float,
+    *,
+    lo: float = -math.inf,
+    hi: float = math.inf,
+) -> float:
+    """The x nearest end (to atol, or one ulp where wider) with f(x) <= target, for monotone f.
 
-    geometric_scan and bisect_monotone use f only through those decisions.
-    Secant steps on sqrt(-log f) = sqrt(-log target), from x0 and x1, estimate
-    the root r; f is then evaluated at r - w and r + w, w = _WINDOW *
-    max(|r|, floor).  The stand-in calls f inside (r - w, r + w) and gives
-    f's value at the nearer window end elsewhere.  Its decisions, and so the
-    searches' answers and exceptions, are f's under this premise: the
-    computed f is monotone at separations >= w, so that outside the window
-    it lies on the same side of the target as the nearer end, and f raises
-    at none of the points the stand-in answers for it.  f itself is returned
-    when the estimate raises ArithmeticError or ValueError or leaves [lo, hi],
-    f's domain, or when the window ends lie on the same side of the target.
+    Returns end if it meets the target.  Otherwise scans x = base +
+    step * factor**i (i = 0, 1, ...; factor > 1 grows, < 1 shrinks), trying
+    each distinct x once, and halves the bracket between the first x that
+    meets the target and end until it is no wider than atol or its
+    midpoint rounds to an end.  Raises ValueError once the step leaves the
+    positive finite floats without meeting the target.
+
+    Every decision f(x) <= target is taken from one window around a secant
+    estimate r of the root: secant steps on sqrt(-log f) = sqrt(-log
+    target) from the two seeds, then f at r - w and r + w, w = _WINDOW *
+    max(|r|, floor).  Inside (r - w, r + w) f is called; elsewhere the
+    nearer window end decides.  When the first seed is end, its value
+    decides end before any other call.  The decisions, and so the answer
+    and the exceptions, are f's under this premise: the computed f is
+    monotone at separations >= w, and raises at none of the points the
+    window decides for it.  f decides every point itself when the estimate
+    takes more than 30 steps, raises ArithmeticError or ValueError, or
+    leaves [lo, hi], f's domain, or when both window ends lie on the same
+    side of the target.
     """
-    lift = math.sqrt(-math.log(target))
 
     def checked(x: float) -> float:
         if not lo <= x <= hi:
@@ -452,8 +420,14 @@ def _replayed(
     def h(x: float) -> float:
         return math.sqrt(-math.log(checked(x))) - lift
 
+    windowed = False
     try:
-        h0, h1 = h(x0), h(x1)
+        lift = math.sqrt(-math.log(target))
+        x0, x1 = seeds
+        f0 = checked(x0)
+        if x0 == end and f0 <= target:
+            return end
+        h0, h1 = math.sqrt(-math.log(f0)) - lift, h(x1)
         for _ in range(30):
             x0, x1 = x1, x1 - h1 * (x1 - x0) / (h1 - h0)
             w = _WINDOW * max(abs(x1), floor)
@@ -461,20 +435,40 @@ def _replayed(
                 break
             h0, h1 = h1, h(x1)
         else:
-            return f
+            raise ValueError("the root estimate did not settle")
         a, b = x1 - w, x1 + w
-        fa, fb = checked(a), checked(b)
+        below, above = checked(a) <= target, checked(b) <= target
+        windowed = below != above
     except (ArithmeticError, ValueError):
-        return f
-    if (fa <= target) == (fb <= target):
-        return f
+        pass
 
-    def replay(x: float) -> float:
-        if a < x < b:
-            return f(x)
-        return fa if x <= a else fb
+    def meets(x: float) -> bool:
+        if not windowed or a < x < b:
+            return f(x) <= target
+        return below if x <= a else above
 
-    return replay
+    if meets(end):
+        return end
+    last = end
+    while 0.0 < step < math.inf:
+        x = base + step
+        if x != last:
+            if meets(x):
+                break
+            last = x
+        step *= factor
+    else:
+        raise ValueError("no value in floating-point range meets the target")
+    good, bad = x, end
+    while abs(good - bad) > atol:
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        if meets(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 # Least rho for "exact_gaussian".  Its two tails, both near 1/2, differ by

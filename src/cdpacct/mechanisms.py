@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .accountant import _refined, _replayed, bisect_monotone, geometric_scan
+from .accountant import _refined, _search
 from .divergence import OutcomeDist, logsumexp
 
 
@@ -107,29 +107,28 @@ def calibrate_sigma_for_rho(sensitivity: float, rho: float) -> float:
 def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> float:
     """Smallest noise scale whose refined (eps, delta) conversion meets the target.
 
-    Bisects on the concentration parameter rho = sensitivity^2/(2 sigma^2):
+    Searches the concentration parameter rho = sensitivity^2/(2 sigma^2):
     at fixed eps the refined delta is increasing in rho, so the largest
     admissible rho gives the smallest sigma.  Working on rho makes the
     result exactly scale-invariant in the sensitivity.  The conversion needs
-    rho <= eps, which caps the search interval.  A scan halves rho from eps
-    until delta is met, and bisection narrows to one ulp.  Both run on a
-    stand-in (accountant._replayed) seeded at the simple conversion's root
+    rho <= eps, which caps the search at rho = eps.  One accountant._search
+    tries eps, then halves rho from eps until delta is met, and bisects to
+    one ulp.  Its secant estimate is seeded at the simple conversion's root
     rho0 = (sqrt(L + eps) - sqrt(L))^2, L = ln(1/delta), which is at most
     the refined root; it calls the conversion only near the root and gives
-    the plain search's bits.
+    a plain scan and bisection's bits.
     """
-    if not sensitivity > 0.0 or not eps > 0.0:
-        raise ValueError("sensitivity and eps must be positive")
+    if not 0.0 < sensitivity < math.inf or not 0.0 < eps < math.inf:
+        raise ValueError("sensitivity and eps must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
 
     log_inv = math.log(1.0 / delta)
     rho0 = (eps / (math.sqrt(log_inv + eps) + math.sqrt(log_inv))) ** 2
-    f = _replayed(
-        lambda rho: _refined(0.0, rho, eps), delta, rho0, min(eps, 1.25 * rho0), lo=0.0, hi=eps
+    rho_star = _search(
+        lambda rho: _refined(0.0, rho, eps), delta, eps, 0.0, eps, 0.5, 0.0,
+        (rho0, min(eps, 1.25 * rho0)), 0.0, lo=0.0, hi=eps,
     )
-    lo = geometric_scan(f, delta, 0.0, eps, 0.5)
-    rho_star = bisect_monotone(f, delta, lo, eps)
     return sensitivity / math.sqrt(2.0 * rho_star)
 
 

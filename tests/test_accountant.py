@@ -33,7 +33,7 @@ from cdpacct import (
     zcdp_to_mcdp,
 )
 from cdpacct import accountant
-from cdpacct.accountant import MAX_GROUP_SIZE, MIN_EXACT_RHO, bisect_monotone, geometric_scan
+from cdpacct.accountant import MAX_GROUP_SIZE, MIN_EXACT_RHO, _search
 
 
 class TestParamTypes:
@@ -382,7 +382,14 @@ class TestEpsForDelta:
         assert eps_for_delta(ZcdpParams(0.7, 0.0), 1e-6) == 0.7
 
 
+def scan_and_bisect(f, target, end, base, step, factor=2.0, atol=0.0):
+    """accountant._search with f deciding every point: NaN seeds give no secant window."""
+    return _search(f, target, end, base, step, factor, atol, (math.nan, math.nan), 0.0)
+
+
 class TestBisectMonotone:
+    """The bisection of accountant._search."""
+
     def test_rising_function(self):
         calls = []
 
@@ -390,12 +397,12 @@ class TestBisectMonotone:
             calls.append(x)
             return -x * x
 
-        root = bisect_monotone(f, -2.0, 2.0, 0.0, atol=1e-12)
+        root = scan_and_bisect(f, -2.0, 0.0, 0.0, 2.0, atol=1e-12)
         assert -root * root <= -2.0 and root - math.sqrt(2.0) <= 1e-12
-        assert len(calls) <= 45
+        assert len(calls) <= 47
 
     def test_falling_function(self):
-        root = bisect_monotone(lambda x: x * x, 2.0, 0.0, 2.0, atol=1e-12)
+        root = scan_and_bisect(lambda x: x * x, 2.0, 2.0, 0.0, 2.0, 0.5, atol=1e-12)
         assert root * root <= 2.0 and math.sqrt(2.0) - root <= 1e-12
 
     def test_stops_when_bracket_cannot_be_split(self):
@@ -407,37 +414,50 @@ class TestBisectMonotone:
 
         # Near 1e6 adjacent floats are 1.16e-10 apart, so atol=1e-10 is never
         # met; the midpoint rounding to an endpoint ends the loop.
-        root = bisect_monotone(f, 0.0, 2e6, 0.0, atol=1e-10)
+        root = scan_and_bisect(f, 0.0, 0.0, 0.0, 2e6, atol=1e-10)
         assert root == 1e6 + 0.3
         assert len(calls) < 100
 
+    def test_end_that_meets_the_target_is_the_answer(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -x
+
+        assert scan_and_bisect(f, 1.0, 0.0, 0.0, 1.0) == 0.0
+        assert calls == [0.0]
+
 
 class TestGeometricScan:
+    """The scan of accountant._search; atol = inf skips the bisection, so the answer is its first hit."""
+
     def test_grows_from_a_base(self):
-        assert geometric_scan(lambda x: -x, -100.0, 5.0, 1.0) == 5.0 + 128.0
+        assert scan_and_bisect(lambda x: -x, -100.0, 5.0, 5.0, 1.0, atol=math.inf) == 5.0 + 128.0
 
     def test_shrinks_with_factor_below_one(self):
-        assert geometric_scan(lambda x: x, 1e-3, 0.0, 0.5, 0.5) == 2.0**-10
+        assert scan_and_bisect(lambda x: x, 1e-3, 1.0, 0.0, 0.5, 0.5, math.inf) == 2.0**-10
 
     def test_runs_to_the_end_of_the_float_range(self):
-        assert geometric_scan(lambda x: -x, -1e300, 0.0, 1.0) == 2.0**997
-        assert geometric_scan(lambda x: x, 2.0**-1070, 0.0, 1.0, 0.5) == 2.0**-1070
+        assert scan_and_bisect(lambda x: -x, -1e300, 0.0, 0.0, 1.0, atol=math.inf) == 2.0**997
+        assert scan_and_bisect(lambda x: x, 2.0**-1070, 1.0, 0.0, 1.0, 0.5, math.inf) == 2.0**-1070
 
     def test_calls_f_once_per_distinct_point(self):
-        # Steps below half an ulp of 1e300 all round to 1e300 itself.
+        # Steps below half an ulp of 1e300 all round to 1e300 itself, the end
+        # already tried.
         xs = []
 
         def f(x):
             xs.append(x)
             return 2e300 - x
 
-        assert geometric_scan(f, 0.0, 1e300, 1.0) == 1e300 + 2.0**997
+        assert scan_and_bisect(f, 0.0, 1e300, 1e300, 1.0, atol=math.inf) == 1e300 + 2.0**997
         assert len(xs) == len(set(xs)) < 60
 
     @pytest.mark.parametrize("factor", [2.0, 0.5])
     def test_unreachable_target_raises(self, factor):
-        with pytest.raises(ValueError):
-            geometric_scan(lambda x: 1.0, 0.0, 0.0, 1.0, factor)
+        with pytest.raises(ValueError, match="no value in floating-point range"):
+            scan_and_bisect(lambda x: 1.0, 0.0, 0.0, 0.0, 1.0, factor)
 
 
 class TestCurveEvaluators:

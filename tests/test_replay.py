@@ -1,8 +1,9 @@
-"""The eps and sigma searches on accountant._replayed's stand-in against the plain searches.
+"""The eps and sigma searches of accountant._search against a plain scan and bisection.
 
-The stand-in must leave every answer and every exception as the plain
-search gives them, and it must actually save evaluations: a stand-in that
-silently fell back to the plain conversion would pass the first check only.
+The secant window must leave every answer and every exception as the plain
+search gives them, and it must actually save evaluations: a window that
+silently fell back to calling the conversion everywhere would pass the
+first check only.
 """
 
 import math
@@ -22,14 +23,36 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def scan_and_bisect(f, target, end, base, step, factor, atol, *window, **domain):
+    """The search _search makes, with f deciding every point and no window."""
+    if f(end) <= target:
+        return end
+    while True:
+        if not 0.0 < step < math.inf:
+            raise ValueError("no value in floating-point range meets the target")
+        if f(base + step) <= target:
+            break
+        step *= factor
+    good, bad = base + step, end
+    while abs(good - bad) > atol:
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        if f(mid) <= target:
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 @pytest.fixture
 def plain(monkeypatch):
-    """Calls fn with the stand-in switched off, so the searches call the conversion at every step."""
+    """Calls fn with the plain scan and bisection in place of _search."""
 
     def run(fn, *args):
         with monkeypatch.context() as m:
             for module in (acct, mech):
-                m.setattr(module, "_replayed", lambda f, *rest, **domain: f)
+                m.setattr(module, "_search", scan_and_bisect)
             return outcome(fn, *args)
 
     return run
@@ -135,13 +158,15 @@ class TestSameAnswersAsThePlainSearch:
 def test_an_estimate_outside_the_domain_gives_back_f():
     # f is monotone only on its domain x >= 0.5.  The secant from 4 and 9
     # lands on -1, where f also meets the target; a window there would
-    # reverse every decision of the searches above 0.5.
+    # reverse every decision of the search above 0.5.
     def f(x):
         return math.exp(-abs(x))
 
     target = math.exp(-1.0)
-    assert acct._replayed(f, target, 4.0, 9.0, lo=0.5) is f
-    assert acct._replayed(f, target, 4.0, 9.0) is not f
+    args = (f, target, 0.5, 0.5, 1.0, 2.0, 1e-12, (4.0, 9.0), 1.0)
+    assert acct._search(*args, lo=0.5) == scan_and_bisect(*args) == 1.0
+    with pytest.raises(ValueError):
+        acct._search(*args)
 
 
 @pytest.fixture
@@ -183,6 +208,22 @@ class TestEvaluationCounts:
         with pytest.raises(OverflowError):
             eps_of_delta(ZcdpParams(0.0, 1e300), 1e-6)
         assert refined_calls[0] <= 10
+
+    @pytest.mark.parametrize("method", ["refined", "exact_gaussian"])
+    def test_eps_met_at_the_scan_start_takes_one_evaluation(self, method, refined_calls, monkeypatch):
+        # The scan starts at the first seed, xi + rho or 0, so that seed's
+        # value decides the answer before any secant step.
+        calls = [0]
+        original = acct.delta_exact_gaussian
+
+        def counted(eta, eps):
+            calls[0] += 1
+            return original(eta, eps)
+
+        monkeypatch.setattr(acct, "delta_exact_gaussian", counted)
+        params = ZcdpParams(0.0, 1e-3)
+        assert eps_of_delta(params, 0.5, method) == (1e-3 if method == "refined" else 0.0)
+        assert refined_calls[0] + calls[0] == 1
 
     def test_exact_gaussian_eps_query(self, monkeypatch):
         calls = [0]
