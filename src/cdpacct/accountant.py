@@ -122,7 +122,9 @@ def entry_to_zcdp(entry: LedgerEntry) -> ZcdpParams:
             raise ValueError("gaussian entry needs sigma > 0")
         if p["sensitivity"] < 0.0:
             raise ValueError("gaussian entry needs sensitivity >= 0")
-        return ZcdpParams(0.0, p["sensitivity"] ** 2 / (2.0 * p["sigma"] ** 2))
+        from .mechanisms import GaussianMech, gaussian_rho  # mechanisms imports this module
+
+        return ZcdpParams(0.0, gaussian_rho(GaussianMech(p["sensitivity"], p["sigma"])))
     if entry.kind == "pure_dp":
         return dp_to_approx_zcdp(DpPoint(p["eps"], 0.0))
     if entry.kind == "approx_dp":
@@ -536,6 +538,8 @@ def advanced_composition_baseline(eps: float, k: int, delta_prime: float) -> flo
     eps * sqrt(2 k ln(1/delta_prime)) + k eps (e^eps - 1).  Included purely
     as external plumbing to benchmark the quadratic-route bound against.
     """
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("eps must be nonnegative and finite")
     if k < 1:
         raise ValueError("k must be a positive integer")
     if not 0.0 < delta_prime < 1.0:

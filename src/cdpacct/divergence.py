@@ -69,8 +69,10 @@ class OutcomeDist:
 
     @classmethod
     def uniform(cls, outcomes: Sequence[Hashable]) -> "OutcomeDist":
-        n = len(tuple(outcomes))
-        return cls(tuple(outcomes), (1.0 / n,) * n)
+        outcomes = tuple(outcomes)
+        if not outcomes:
+            raise ValueError("distribution needs at least one outcome")
+        return cls(outcomes, (1.0 / len(outcomes),) * len(outcomes))
 
     @classmethod
     def point_mass(cls, outcome: Hashable) -> "OutcomeDist":

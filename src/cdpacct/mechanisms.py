@@ -8,10 +8,11 @@ by its closed-form divergence curve.  Sampling lives in the oracle module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .accountant import _refined, _search
-from .divergence import OutcomeDist, logsumexp
+from .divergence import OutcomeDist, _check_order, logsumexp
 
 
 @dataclass(frozen=True)
@@ -22,10 +23,10 @@ class GaussianMech:
     sigma: float  # noise standard deviation, same units
 
     def __post_init__(self) -> None:
-        if self.sensitivity < 0.0:
-            raise ValueError("sensitivity must be nonnegative")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 <= self.sensitivity < math.inf:
+            raise ValueError("sensitivity must be nonnegative and finite")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,10 @@ class MultiGaussianMech:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.l2_sensitivity < 0.0:
-            raise ValueError("l2_sensitivity must be nonnegative")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 <= self.l2_sensitivity < math.inf:
+            raise ValueError("l2_sensitivity must be nonnegative and finite")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
 
@@ -77,9 +78,21 @@ class ExpMechSpec:
             raise ValueError("epsilon must be positive")
 
 
+# Below 2^-511 a square is subnormal or 0; from 2^511 up, 2 sigma^2 can overflow.
+_SQUARABLE = (2.0**-511, 2.0**511)
+
+
 def gaussian_rho(mech: GaussianMech) -> float:
-    """Concentration parameter of the Gaussian mechanism: sensitivity^2 / (2 sigma^2)."""
-    return mech.sensitivity**2 / (2.0 * mech.sigma**2)
+    """Concentration parameter of the Gaussian mechanism: sensitivity^2 / (2 sigma^2).
+
+    Computed as written where both squares are normal floats, and as
+    0.5 (sensitivity / sigma)^2 elsewhere, where the squares would overflow,
+    underflow or lose digits.
+    """
+    s, sigma = mech.sensitivity, mech.sigma
+    if _SQUARABLE[0] <= min(s, sigma) and max(s, sigma) < _SQUARABLE[1]:
+        return s**2 / (2.0 * sigma**2)
+    return 0.5 * (s / sigma) ** 2
 
 
 def gaussian_renyi(shift: float, sigma: float, alpha: float) -> float:
@@ -90,18 +103,24 @@ def gaussian_renyi(shift: float, sigma: float, alpha: float) -> float:
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    if alpha < 1.0:
-        raise ValueError("order must be >= 1")
+    alpha = _check_order(alpha)
     if math.isinf(alpha):
         return 0.0 if shift == 0.0 else math.inf
     return alpha * shift**2 / (2.0 * sigma**2)
 
 
 def calibrate_sigma_for_rho(sensitivity: float, rho: float) -> float:
-    """Noise scale achieving a target concentration parameter exactly."""
-    if not sensitivity > 0.0 or not rho > 0.0:
-        raise ValueError("sensitivity and rho must be positive")
-    return sensitivity / math.sqrt(2.0 * rho)
+    """Noise scale achieving a target concentration parameter exactly.
+
+    Raises ValueError where that scale is not a normal float: an infinite
+    or a subnormal sigma, which has lost digits, is no calibration.
+    """
+    if not 0.0 < sensitivity < math.inf or not 0.0 < rho < math.inf:
+        raise ValueError("sensitivity and rho must be positive and finite")
+    sigma = sensitivity / math.sqrt(2.0 * rho)
+    if not sys.float_info.min <= sigma < math.inf:
+        raise ValueError(f"sigma = {sigma!r} lies outside the normal floating-point range")
+    return sigma
 
 
 def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> float:
@@ -129,7 +148,7 @@ def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> floa
         lambda rho: _refined(0.0, rho, eps), delta, eps, 0.0, eps, 0.5, 0.0,
         (rho0, min(eps, 1.25 * rho0)), 0.0, lo=0.0, hi=eps,
     )
-    return sensitivity / math.sqrt(2.0 * rho_star)
+    return calibrate_sigma_for_rho(sensitivity, rho_star)
 
 
 def randomized_response(eps: float) -> tuple[OutcomeDist, OutcomeDist]:

@@ -117,6 +117,12 @@ class TestLedgerEntries:
             e = LedgerEntry("gaussian", {"sensitivity": sens, "sigma": sigma})
             assert entry_to_zcdp(e).rho == gaussian_rho(GaussianMech(sens, sigma))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e154, 1e-200])
+    def test_gaussian_entry_beyond_the_squares(self, scale):
+        # s^2 / (2 sigma^2) overflows or divides by an underflowed 0 here.
+        e = LedgerEntry("gaussian", {"sensitivity": scale, "sigma": scale})
+        assert entry_to_zcdp(e) == ZcdpParams(0.0, 0.5)
+
     def test_pure_dp_entry_uses_quadratic_route(self):
         e = LedgerEntry("pure_dp", {"eps": 1.0})
         assert entry_to_zcdp(e) == ZcdpParams(0.0, 0.5, 0.0)
@@ -443,16 +449,17 @@ class TestGeometricScan:
         assert scan_and_bisect(lambda x: x, 2.0**-1070, 1.0, 0.0, 1.0, 0.5, math.inf) == 2.0**-1070
 
     def test_calls_f_once_per_distinct_point(self):
-        # Steps below half an ulp of 1e300 all round to 1e300 itself, the end
-        # already tried.
-        xs = []
+        # Steps below half an ulp of 1e300 all round to 1e300 itself, which is
+        # tried once, whether or not it is also the end.
+        for end in (0.0, 1e300):
+            xs = []
 
-        def f(x):
-            xs.append(x)
-            return 2e300 - x
+            def f(x):
+                xs.append(x)
+                return 2e300 - x
 
-        assert scan_and_bisect(f, 0.0, 1e300, 1e300, 1.0, atol=math.inf) == 1e300 + 2.0**997
-        assert len(xs) == len(set(xs)) < 60
+            assert scan_and_bisect(f, 0.0, end, 1e300, 1.0, atol=math.inf) == 1e300 + 2.0**997
+            assert len(xs) == len(set(xs)) < 60
 
     @pytest.mark.parametrize("factor", [2.0, 0.5])
     def test_unreachable_target_raises(self, factor):
@@ -576,6 +583,11 @@ class TestCompositionCorollaries:
         baseline = advanced_composition_baseline(0.1, 100, 1e-6)
         assert baseline == pytest.approx(6.308230950513409, abs=1e-12)
         assert pt.eps < baseline
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf, -math.inf])
+    def test_baseline_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
+            advanced_composition_baseline(eps, 3, 1e-6)
 
     def test_small_log_branch_returns_endpoint(self):
         # With a large failure budget the log factor goes nonpositive and

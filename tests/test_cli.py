@@ -683,6 +683,29 @@ class TestLargeBudgets:
         assert_sound_report(proc.stdout, 1e6)
 
 
+class TestScalesBeyondTheSquares:
+    """sensitivity^2 or sigma^2 overflows or underflows, but rho = s^2 / (2 sigma^2) does not."""
+
+    @pytest.mark.parametrize("sensitivity", ["1e200", "1e-200"])
+    def test_calibrate(self, sensitivity, capsys):
+        tail = ["--eps", "1e-3", "--delta", "1e-6"]
+        assert main(["calibrate", "--sensitivity", "1", *tail]) == 0
+        unit = capsys.readouterr().out.splitlines()
+        assert main(["calibrate", "--sensitivity", sensitivity, *tail]) == 0
+        out = capsys.readouterr().out.splitlines()
+        # The same sigma digits, scaled; the same rho and delta lines.
+        assert out[0].partition("e")[0] == unit[0].partition("e")[0]
+        assert out[1:] == unit[1:]
+
+    def test_ledger_entry(self, tmp_path, capsys):
+        path = write_ledger(
+            tmp_path,
+            {"entries": [{"kind": "gaussian", "params": {"sensitivity": 1e200, "sigma": 1e200}}]},
+        )
+        assert main(["compose", "--ledger", path]) == 0
+        assert " rho=5.00000000000e-01 " in capsys.readouterr().out
+
+
 class TestOutOfRangeArithmetic:
     """Overflow and underflow end in a one-line usage error, not a traceback."""
 

@@ -36,6 +36,13 @@ class TestOutcomeDist:
         assert pm.prob_of(7) == 1.0
         assert pm.support() == (7,)
 
+    def test_uniform_needs_an_outcome(self):
+        with pytest.raises(ValueError, match="at least one outcome"):
+            OutcomeDist.uniform([])
+
+    def test_uniform_reads_an_iterator_once(self):
+        assert OutcomeDist.uniform(iter("ab")) == OutcomeDist(("a", "b"), (0.5, 0.5))
+
     def test_support_drops_zero_mass(self):
         d = OutcomeDist((0, 1, 2), (0.5, 0.0, 0.5))
         assert d.support() == (0, 2)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -45,6 +46,33 @@ class TestGaussian:
         with pytest.raises(ValueError):
             GaussianMech(-1.0, 1.0)
 
+    @pytest.mark.parametrize("sensitivity, sigma", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_rejects_non_finite_parameters(self, sensitivity, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMech(sensitivity, sigma)
+        with pytest.raises(ValueError, match="finite"):
+            MultiGaussianMech(sensitivity, sigma, 3)
+
+    def test_renyi_rejects_a_nan_order(self):
+        with pytest.raises(ValueError, match="order"):
+            gaussian_renyi(1.0, 1.0, math.nan)
+        with pytest.raises(ValueError, match="order"):
+            gaussian_renyi(1.0, 1.0, 0.5)
+
+    def test_rho_keeps_the_direct_form_where_squares_are_normal(self):
+        rng = random.Random(11)
+        for _ in range(20000):
+            s, sigma = 10.0 ** rng.uniform(-150, 150), 10.0 ** rng.uniform(-150, 150)
+            assert gaussian_rho(GaussianMech(s, sigma)) == s**2 / (2.0 * sigma**2)
+        assert gaussian_rho(GaussianMech(0.0, 1e300)) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e200, 1e154, 2.0**511, 2.0**-512, 1e-160, 1e-200, 1e-300])
+    def test_rho_where_a_square_leaves_the_normal_floats(self, scale):
+        # s^2 or 2 sigma^2 overflows, or underflows to a subnormal or 0;
+        # the ratio is still exact.
+        assert gaussian_rho(GaussianMech(scale, scale)) == 0.5
+        assert gaussian_rho(GaussianMech(3.0 * scale, 2.0 * scale)) == pytest.approx(1.125, rel=1e-15)
+
     def test_multivariate_reduces_to_scalar(self):
         multi = MultiGaussianMech(3.0, 2.0, 7)
         scalar = multi.as_scalar()
@@ -89,6 +117,31 @@ class TestCalibration:
             calibrate_sigma_for_dp(1.0, 0.0, 1e-6)
         with pytest.raises(ValueError):
             calibrate_sigma_for_dp(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("sensitivity, eps", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_sigma_for_dp_rejects_non_finite_inputs(self, sensitivity, eps):
+        with pytest.raises(ValueError, match="finite"):
+            calibrate_sigma_for_dp(sensitivity, eps, 1e-6)
+
+    @pytest.mark.parametrize("sensitivity, rho", [(1.0, math.inf), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)])
+    def test_sigma_for_rho_rejects_non_finite_inputs(self, sensitivity, rho):
+        with pytest.raises(ValueError, match="finite"):
+            calibrate_sigma_for_rho(sensitivity, rho)
+
+    @pytest.mark.parametrize("sensitivity, rho", [(1e-320, 0.5), (1e-300, 1e30), (1e300, 1e-300)])
+    def test_sigma_outside_the_normal_floats_is_refused(self, sensitivity, rho):
+        # A subnormal sigma has lost digits; an infinite one is no noise scale.
+        with pytest.raises(ValueError, match="normal floating-point range"):
+            calibrate_sigma_for_rho(sensitivity, rho)
+
+    @pytest.mark.parametrize("sensitivity", [1e-200, 1e200])
+    def test_sigma_for_dp_at_extreme_sensitivities(self, sensitivity):
+        # Here both sensitivity^2 and sigma^2 leave the normal floats.
+        unit = calibrate_sigma_for_dp(1.0, 1e-3, 1e-6)
+        sigma = calibrate_sigma_for_dp(sensitivity, 1e-3, 1e-6)
+        assert sigma == pytest.approx(sensitivity * unit, rel=1e-15)
+        rho = gaussian_rho(GaussianMech(sensitivity, sigma))
+        assert rho == pytest.approx(gaussian_rho(GaussianMech(1.0, unit)), rel=1e-15)
 
 
 class TestRandomizedResponse:
