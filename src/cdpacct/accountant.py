@@ -122,9 +122,7 @@ def entry_to_zcdp(entry: LedgerEntry) -> ZcdpParams:
             raise ValueError("gaussian entry needs sigma > 0")
         if p["sensitivity"] < 0.0:
             raise ValueError("gaussian entry needs sensitivity >= 0")
-        from .mechanisms import GaussianMech, gaussian_rho  # mechanisms imports this module
-
-        return ZcdpParams(0.0, gaussian_rho(GaussianMech(p["sensitivity"], p["sigma"])))
+        return ZcdpParams(0.0, _gaussian_rho(p["sensitivity"], p["sigma"]))
     if entry.kind == "pure_dp":
         return dp_to_approx_zcdp(DpPoint(p["eps"], 0.0))
     if entry.kind == "approx_dp":
@@ -134,6 +132,22 @@ def entry_to_zcdp(entry: LedgerEntry) -> ZcdpParams:
     if entry.kind == "mcdp":
         return mcdp_to_zcdp(McdpParams(p["mu"], p["tau"]))
     raise AssertionError(f"unreachable kind {entry.kind!r}")
+
+
+# Below 2^-511 a square is subnormal or 0; from 2^511 up, 2 sigma^2 can overflow.
+_SQUARE_MIN, _SQUARE_MAX = 2.0**-511, 2.0**511
+
+
+def _gaussian_rho(sensitivity: float, sigma: float) -> float:
+    """rho = sensitivity^2 / (2 sigma^2) of a Gaussian mechanism, for sensitivity >= 0 < sigma.
+
+    Computed as written where both squares are normal floats, and as
+    0.5 (sensitivity / sigma)^2 elsewhere, where the squares would overflow,
+    underflow or lose digits.
+    """
+    if _SQUARE_MIN <= sensitivity < _SQUARE_MAX and _SQUARE_MIN <= sigma < _SQUARE_MAX:
+        return sensitivity**2 / (2.0 * sigma**2)
+    return 0.5 * (sensitivity / sigma) ** 2
 
 
 def compose(entries: Sequence[ZcdpParams]) -> ZcdpParams:

@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .accountant import _refined, _search
+from .accountant import _gaussian_rho, _refined, _search
 from .divergence import OutcomeDist, _check_order, logsumexp
 
 
@@ -78,21 +78,9 @@ class ExpMechSpec:
             raise ValueError("epsilon must be positive")
 
 
-# Below 2^-511 a square is subnormal or 0; from 2^511 up, 2 sigma^2 can overflow.
-_SQUARABLE = (2.0**-511, 2.0**511)
-
-
 def gaussian_rho(mech: GaussianMech) -> float:
-    """Concentration parameter of the Gaussian mechanism: sensitivity^2 / (2 sigma^2).
-
-    Computed as written where both squares are normal floats, and as
-    0.5 (sensitivity / sigma)^2 elsewhere, where the squares would overflow,
-    underflow or lose digits.
-    """
-    s, sigma = mech.sensitivity, mech.sigma
-    if _SQUARABLE[0] <= min(s, sigma) and max(s, sigma) < _SQUARABLE[1]:
-        return s**2 / (2.0 * sigma**2)
-    return 0.5 * (s / sigma) ** 2
+    """Concentration parameter of the Gaussian mechanism: sensitivity^2 / (2 sigma^2)."""
+    return _gaussian_rho(mech.sensitivity, mech.sigma)
 
 
 def gaussian_renyi(shift: float, sigma: float, alpha: float) -> float:
