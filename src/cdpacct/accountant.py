@@ -139,12 +139,7 @@ _SQUARE_MIN, _SQUARE_MAX = 2.0**-511, 2.0**511
 
 
 def _gaussian_rho(sensitivity: float, sigma: float) -> float:
-    """rho = sensitivity^2 / (2 sigma^2) of a Gaussian mechanism, for sensitivity >= 0 < sigma.
-
-    Computed as written where both squares are normal floats, and as
-    0.5 (sensitivity / sigma)^2 elsewhere, where the squares would overflow,
-    underflow or lose digits.
-    """
+    """sensitivity^2 / (2 sigma^2), as 0.5 (sensitivity / sigma)^2 where a square is not normal."""
     if _SQUARE_MIN <= sensitivity < _SQUARE_MAX and _SQUARE_MIN <= sigma < _SQUARE_MAX:
         return sensitivity**2 / (2.0 * sigma**2)
     return 0.5 * (sensitivity / sigma) ** 2
@@ -351,14 +346,11 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
 
     Inverts delta_of_eps at delta' = (delta - delta_approx) / (1 - delta_approx),
     and gives +inf when delta_approx >= delta.  "simple" is closed-form; the
-    others are strictly decreasing in eps and go through one _search: a
-    scan doubling its step up from xi + rho ("refined") or 0
-    ("exact_gaussian"), then bisection to 1e-10 or 1e-12, or to one ulp
-    where that is wider, so the exact eps is never above the refined one.
-    The search calls the curve only near a secant estimate of the root,
-    seeded at the scan's start and at the simple conversion's eps, which is
-    at or above both roots; the answer is a plain scan and bisection's to
-    the bit.
+    others are strictly decreasing in eps: one _search scans up from
+    xi + rho ("refined") or 0 ("exact_gaussian") and bisects to 1e-10 or
+    1e-12, or to one ulp where wider, so the exact eps is never above the
+    refined one.  Its secant seeds are the scan's start and the simple
+    eps, at or above both roots.
     """
     if method not in CURVE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
@@ -376,56 +368,41 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
     if method == "simple":
         return simple
     if method == "refined":
-        lo = xi + rho
-        return _search(
-            functools.partial(_refined, xi, rho), prime, lo, lo, max(1.0, math.sqrt(rho)), 2.0,
-            1e-10, (lo, simple), 1.0, lo=lo,
-        )
-    return _search(f, prime, 0.0, 0.0, 1.0, 2.0, 1e-12, (0.0, simple), 1.0)
+        f = functools.partial(_refined, xi, rho)
+        lo, step, atol = xi + rho, max(1.0, math.sqrt(rho)), 1e-10
+    else:
+        lo, step, atol = 0.0, 1.0, 1e-12
+    return _search(f, prime, lo, lo, step, 2.0, atol, (lo, simple), 1.0, lo=lo)
 
 
 # Half-width of _search's window, relative to the root estimate.  The eps
 # searches floor it at 1e-12 absolute: the exact Gaussian curve's decisions
-# flip up to 6e-16 from its root (relative noise grows as rho shrinks); the
-# refined conversion, a chain of monotone roundings, never flips.
+# flip up to 6e-16 from its root; the refined conversion never flips.
 _WINDOW = 1e-12
 
 
 def _search(
-    f: Callable[[float], float],
-    target: float,
-    end: float,
-    base: float,
-    step: float,
-    factor: float,
-    atol: float,
-    seeds: tuple[float, float],
-    floor: float,
-    *,
-    lo: float = -math.inf,
-    hi: float = math.inf,
+    f: Callable[[float], float], target: float, end: float, base: float, step: float,
+    factor: float, atol: float, seeds: tuple[float, float], floor: float,
+    *, lo: float = -math.inf, hi: float = math.inf,
 ) -> float:
     """The x nearest end (to atol, or one ulp where wider) with f(x) <= target, for monotone f.
 
     Returns end if it meets the target.  Otherwise scans x = base +
-    step * factor**i (i = 0, 1, ...; factor > 1 grows, < 1 shrinks), trying
-    each distinct x once, and halves the bracket between the first x that
-    meets the target and end until it is no wider than atol or its
-    midpoint rounds to an end.  Raises ValueError once the step leaves the
-    positive finite floats without meeting the target.
+    step * factor**i, i = 0, 1, ..., trying each distinct x once, and halves
+    the bracket between the first x that meets the target and end until it
+    is no wider than atol or its midpoint rounds to an end.  Raises
+    ValueError once the step leaves the positive finite floats.
 
-    Every decision f(x) <= target is taken from one window around a secant
-    estimate r of the root: secant steps on sqrt(-log f) = sqrt(-log
-    target) from the two seeds, then f at r - w and r + w, w = _WINDOW *
-    max(|r|, floor).  Inside (r - w, r + w) f is called; elsewhere the
-    nearer window end decides.  When the first seed is end, its value
-    decides end before any other call.  The decisions, and so the answer
-    and the exceptions, are f's under this premise: the computed f is
-    monotone at separations >= w, and raises at none of the points the
-    window decides for it.  f decides every point itself when the estimate
-    takes more than 30 steps, raises ArithmeticError or ValueError, or
-    leaves [lo, hi], f's domain, or when both window ends lie on the same
-    side of the target.
+    Each decision f(x) <= target comes from one window around a root
+    estimate r, from secant steps on sqrt(-log f) = sqrt(-log target) from
+    the seeds: f is called inside (r - w, r + w), w = _WINDOW * max(|r|,
+    floor), and elsewhere the nearer window end decides.  A first seed
+    equal to end decides end before any other call.  The answer and the
+    exceptions are f's if f is monotone at separations >= w and raises at
+    no point the window decides.  f decides every point if the estimate
+    takes over 30 steps, raises ArithmeticError or ValueError, or leaves
+    [lo, hi], f's domain, or if both window ends lie on one side of target.
     """
 
     def checked(x: float) -> float:
@@ -448,13 +425,11 @@ def _search(
             x0, x1 = x1, x1 - h1 * (x1 - x0) / (h1 - h0)
             w = _WINDOW * max(abs(x1), floor)
             if abs(x1 - x0) <= 0.5 * w:
+                a, b = x1 - w, x1 + w
+                below, above = checked(a) <= target, checked(b) <= target
+                windowed = below != above
                 break
             h0, h1 = h1, h(x1)
-        else:
-            raise ValueError("the root estimate did not settle")
-        a, b = x1 - w, x1 + w
-        below, above = checked(a) <= target, checked(b) <= target
-        windowed = below != above
     except (ArithmeticError, ValueError):
         pass
 
@@ -468,11 +443,9 @@ def _search(
     last = end
     while 0.0 < step < math.inf:
         x = base + step
-        if x != last:
-            if meets(x):
-                break
-            last = x
-        step *= factor
+        if x != last and meets(x):
+            break
+        last, step = x, step * factor
     else:
         raise ValueError("no value in floating-point range meets the target")
     good, bad = x, end

@@ -98,11 +98,7 @@ def gaussian_renyi(shift: float, sigma: float, alpha: float) -> float:
 
 
 def calibrate_sigma_for_rho(sensitivity: float, rho: float) -> float:
-    """Noise scale achieving a target concentration parameter exactly.
-
-    Raises ValueError where that scale is not a normal float: an infinite
-    or a subnormal sigma, which has lost digits, is no calibration.
-    """
+    """Noise scale achieving a target concentration parameter exactly, if it is a normal float."""
     if not 0.0 < sensitivity < math.inf or not 0.0 < rho < math.inf:
         raise ValueError("sensitivity and rho must be positive and finite")
     sigma = sensitivity / math.sqrt(2.0 * rho)
@@ -118,12 +114,10 @@ def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> floa
     at fixed eps the refined delta is increasing in rho, so the largest
     admissible rho gives the smallest sigma.  Working on rho makes the
     result exactly scale-invariant in the sensitivity.  The conversion needs
-    rho <= eps, which caps the search at rho = eps.  One accountant._search
-    tries eps, then halves rho from eps until delta is met, and bisects to
-    one ulp.  Its secant estimate is seeded at the simple conversion's root
-    rho0 = (sqrt(L + eps) - sqrt(L))^2, L = ln(1/delta), which is at most
-    the refined root; it calls the conversion only near the root and gives
-    a plain scan and bisection's bits.
+    rho <= eps.  One accountant._search tries rho = eps, halves rho from eps
+    until delta is met and bisects to one ulp.  Its secant is seeded at the
+    simple conversion's root rho0 = (sqrt(L + eps) - sqrt(L))^2,
+    L = ln(1/delta), which is at most the refined root.
     """
     if not 0.0 < sensitivity < math.inf or not 0.0 < eps < math.inf:
         raise ValueError("sensitivity and eps must be positive and finite")
