@@ -134,7 +134,7 @@ def entry_to_zcdp(entry: LedgerEntry) -> ZcdpParams:
     raise AssertionError(f"unreachable kind {entry.kind!r}")
 
 
-# Below 2^-511 a square is subnormal or 0; from 2^511 up, 2 sigma^2 can overflow.
+# For numbers in [2^-511, 2^511), the square and twice the square are normal floats.
 _SQUARE_MIN, _SQUARE_MAX = 2.0**-511, 2.0**511
 
 

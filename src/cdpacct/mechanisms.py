@@ -47,7 +47,7 @@ class MultiGaussianMech:
             raise ValueError("l2_sensitivity must be nonnegative and finite")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
-        if self.dim < 1:
+        if not 1 <= self.dim < math.inf:
             raise ValueError("dim must be a positive integer")
 
     def as_scalar(self) -> GaussianMech:

@@ -53,6 +53,11 @@ class TestGaussian:
         with pytest.raises(ValueError, match="finite"):
             MultiGaussianMech(sensitivity, sigma, 3)
 
+    @pytest.mark.parametrize("dim", [0, math.nan, math.inf])
+    def test_multivariate_rejects_a_bad_dimension(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            MultiGaussianMech(1.0, 1.0, dim)
+
     def test_renyi_rejects_a_nan_order(self):
         with pytest.raises(ValueError, match="order"):
             gaussian_renyi(1.0, 1.0, math.nan)
