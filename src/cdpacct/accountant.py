@@ -129,9 +129,7 @@ def entry_to_zcdp(entry: LedgerEntry) -> ZcdpParams:
         return dp_to_approx_zcdp(DpPoint(p["eps"], p["delta"]))
     if entry.kind == "zcdp":
         return ZcdpParams(p["xi"], p["rho"], p["delta"])
-    if entry.kind == "mcdp":
-        return mcdp_to_zcdp(McdpParams(p["mu"], p["tau"]))
-    raise AssertionError(f"unreachable kind {entry.kind!r}")
+    return mcdp_to_zcdp(McdpParams(p["mu"], p["tau"]))  # LedgerEntry admits no other kind
 
 
 # For numbers in [2^-511, 2^511), the square and twice the square are normal floats.
@@ -373,6 +371,22 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
     else:
         lo, step, atol = 0.0, 1.0, 1e-12
     return _search(f, prime, lo, lo, step, 2.0, atol, (lo, simple), 1.0, lo=lo)
+
+
+def _rho_for_dp(eps: float, delta: float) -> float:
+    """Largest rho in (0, eps] whose refined delta at eps meets delta; eps > 0, 0 < delta < 1.
+
+    The refined delta increases in rho.  One _search tries rho = eps, halves
+    rho from eps until delta is met and bisects to one ulp, with its secant
+    seeded at the simple conversion's root rho0 = (sqrt(L + eps) -
+    sqrt(L))^2, L = ln(1/delta), at most the refined root.
+    """
+    log_inv = math.log(1.0 / delta)
+    rho0 = (eps / (math.sqrt(log_inv + eps) + math.sqrt(log_inv))) ** 2
+    return _search(
+        lambda rho: _refined(0.0, rho, eps), delta, eps, 0.0, eps, 0.5, 0.0,
+        (rho0, min(eps, 1.25 * rho0)), 0.0, lo=0.0, hi=eps,
+    )
 
 
 # Half-width of _search's window, relative to the root estimate.  The eps

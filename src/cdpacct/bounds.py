@@ -112,17 +112,14 @@ def mi_bound(params: ZcdpParams, n: int, structure) -> float:
         raise ValueError("n must be a positive integer")
     if params.delta_approx != 0.0:
         raise ValueError("MI bounds apply to plain budgets only")
-    xi, rho = params.xi, params.rho
-    if structure == "general":
-        return xi * n * (1.0 + math.log(n)) + rho * n * n
-    if structure == "independent":
-        return (xi + rho) * n
-    if isinstance(structure, tuple) and len(structure) == 2:
-        m, l = structure
-        if m < 1 or l < 1 or m * l != n:
-            raise ValueError(f"blocks structure needs n = m*l, got n={n}, (m,l)={structure}")
-        return m * (xi * l * (1.0 + math.log(l)) + rho * l * l)
-    raise ValueError(f"unknown structure {structure!r}")
+    if isinstance(structure, str):  # "general" is one block of n, "independent" n blocks of 1
+        structure = {"general": (1, n), "independent": (n, 1)}.get(structure, structure)
+    if not (isinstance(structure, tuple) and len(structure) == 2):
+        raise ValueError(f"unknown structure {structure!r}")
+    m, l = structure
+    if m < 1 or l < 1 or m * l != n:
+        raise ValueError(f"blocks structure needs n = m*l, got n={n}, (m,l)={structure}")
+    return m * (params.xi * l * (1.0 + math.log(l)) + params.rho * l * l)
 
 
 def certify_zcdp(

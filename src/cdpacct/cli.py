@@ -261,7 +261,7 @@ def cmd_mi_demo(args: argparse.Namespace) -> int:
     if eps <= 0.0:
         raise CliError(EXIT_USAGE, "mi-demo needs --eps > 0")
     channel = bounds.rr_product_channel(eps, n)
-    params = acct.ZcdpParams(0.0, 0.5 * eps * eps)
+    params = acct.pure_dp_to_zcdp(eps)[1]
     lines = [f"randomized response per-bit eps={fmt(eps)}, n={n} bits, rho={fmt(params.rho)}"]
     ok = True
     for prior, mi, bound in bounds.prior_mi_rows(channel, params, n):

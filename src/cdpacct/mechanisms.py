@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .accountant import _gaussian_rho, _refined, _search
+from .accountant import _gaussian_rho, _rho_for_dp
 from .divergence import OutcomeDist, _check_order, logsumexp
 
 
@@ -84,17 +84,17 @@ def gaussian_rho(mech: GaussianMech) -> float:
 
 
 def gaussian_renyi(shift: float, sigma: float, alpha: float) -> float:
-    """Order-alpha divergence between equal-variance Gaussians shifted by `shift`.
+    """Order-alpha divergence between equal-variance Gaussians shifted by `shift`: alpha * rho.
 
     Multivariate callers pass shift = l2 norm of the mean difference; the
     divergence depends on nothing else.
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    if not (abs(shift) < math.inf and 0.0 < sigma < math.inf):
+        raise ValueError(f"need a finite shift and a positive finite sigma, got {shift!r}, {sigma!r}")
     alpha = _check_order(alpha)
     if math.isinf(alpha):
         return 0.0 if shift == 0.0 else math.inf
-    return alpha * shift**2 / (2.0 * sigma**2)
+    return alpha * _gaussian_rho(abs(shift), sigma)
 
 
 def calibrate_sigma_for_rho(sensitivity: float, rho: float) -> float:
@@ -110,27 +110,15 @@ def calibrate_sigma_for_rho(sensitivity: float, rho: float) -> float:
 def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> float:
     """Smallest noise scale whose refined (eps, delta) conversion meets the target.
 
-    Searches the concentration parameter rho = sensitivity^2/(2 sigma^2):
-    at fixed eps the refined delta is increasing in rho, so the largest
-    admissible rho gives the smallest sigma.  Working on rho makes the
-    result exactly scale-invariant in the sensitivity.  The conversion needs
-    rho <= eps.  One accountant._search tries rho = eps, halves rho from eps
-    until delta is met and bisects to one ulp.  Its secant is seeded at the
-    simple conversion's root rho0 = (sqrt(L + eps) - sqrt(L))^2,
-    L = ln(1/delta), which is at most the refined root.
+    That is calibrate_sigma_for_rho at the largest admissible rho, which
+    accountant._rho_for_dp finds to one ulp; working on rho makes the result
+    exactly scale-invariant in the sensitivity.
     """
     if not 0.0 < sensitivity < math.inf or not 0.0 < eps < math.inf:
         raise ValueError("sensitivity and eps must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-
-    log_inv = math.log(1.0 / delta)
-    rho0 = (eps / (math.sqrt(log_inv + eps) + math.sqrt(log_inv))) ** 2
-    rho_star = _search(
-        lambda rho: _refined(0.0, rho, eps), delta, eps, 0.0, eps, 0.5, 0.0,
-        (rho0, min(eps, 1.25 * rho0)), 0.0, lo=0.0, hi=eps,
-    )
-    return calibrate_sigma_for_rho(sensitivity, rho_star)
+    return calibrate_sigma_for_rho(sensitivity, _rho_for_dp(eps, delta))
 
 
 def randomized_response(eps: float) -> tuple[OutcomeDist, OutcomeDist]:
@@ -184,6 +172,8 @@ def exponential_mechanism(spec: ExpMechSpec) -> OutcomeDist:
 
 def normal_upper_tail(u: float, sigma: float = 1.0) -> float:
     """P[N(0, sigma^2) > u], computed via erfc so deep tails keep relative accuracy."""
+    if math.isnan(u) or not 0.0 < sigma < math.inf:
+        raise ValueError(f"need a number u and a positive finite sigma, got {u!r}, {sigma!r}")
     return 0.5 * math.erfc(u / (sigma * math.sqrt(2.0)))
 
 
@@ -193,10 +183,9 @@ def thresholded_gaussian(sigma: float, t: float) -> tuple[OutcomeDist, OutcomeDi
     Output -1, 0, or +1 according to whether the noisy value is below -t,
     between, or above +t.  With p = P[N(0, sigma^2) > t-1] and
     q = P[N(0, sigma^2) > t+1], input +1 yields (+1 w.p. p, -1 w.p. q),
-    input -1 the reversal.
+    input -1 the reversal.  normal_upper_tail refuses a sigma that is not
+    positive and finite.
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
     if not t > 1.0:
         raise ValueError("threshold must exceed 1")
     p = normal_upper_tail(t - 1.0, sigma)

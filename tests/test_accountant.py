@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 import time
 
@@ -32,6 +34,7 @@ from cdpacct import (
     zcdp_to_dp_simple,
     zcdp_to_mcdp,
 )
+import cdpacct
 from cdpacct import accountant
 from cdpacct.accountant import MAX_GROUP_SIZE, MIN_EXACT_RHO, _search
 
@@ -386,6 +389,17 @@ class TestEpsForDelta:
 
     def test_zero_rho_returns_xi(self):
         assert eps_for_delta(ZcdpParams(0.7, 0.0), 1e-6) == 0.7
+
+
+def test_only_the_accountant_binds_the_refined_kernel_and_the_search():
+    # Other modules reach them through accountant functions (eps_of_delta,
+    # _rho_for_dp), so each search is set up in one place.
+    owned = (accountant._refined, accountant._search)
+    for info in pkgutil.iter_modules(cdpacct.__path__):
+        module = importlib.import_module(f"cdpacct.{info.name}")
+        if info.name != "accountant":
+            assert not {"_refined", "_search"} & set(vars(module)), info.name
+            assert not any(value in owned for value in vars(module).values()), info.name
 
 
 def scan_and_bisect(f, target, end, base, step, factor=2.0, atol=0.0):

@@ -131,6 +131,23 @@ class TestMiBounds:
         b = mi_bound(ZcdpParams(0.0, 0.3), 6, (2, 3))
         assert b == pytest.approx(2 * 0.3 * 9, abs=1e-12)
 
+    def test_named_structures_are_blocks(self):
+        # "general" is one block of n entries, "independent" n blocks of one;
+        # both keep the bits of their own closed forms.
+        rng = random.Random(13)
+        for _ in range(2000):
+            xi, rho = rng.choice([0.0, 10.0 ** rng.uniform(-6, 2)]), 10.0 ** rng.uniform(-6, 2)
+            n = rng.choice([1, 2, rng.randint(1, 10**6)])
+            params = ZcdpParams(xi, rho)
+            general = xi * n * (1.0 + math.log(n)) + rho * n * n
+            assert mi_bound(params, n, "general") == mi_bound(params, n, (1, n)) == general
+            assert mi_bound(params, n, "independent") == mi_bound(params, n, (n, 1)) == (xi + rho) * n
+
+    @pytest.mark.parametrize("structure", ["blocks", [2, 2], (4,), None])
+    def test_unknown_structure_rejected(self, structure):
+        with pytest.raises(ValueError, match="unknown structure"):
+            mi_bound(ZcdpParams(0.0, 0.3), 4, structure)
+
     def test_block_shape_must_match_n(self):
         with pytest.raises(ValueError):
             mi_bound(ZcdpParams(0.0, 0.3), 5, (2, 3))

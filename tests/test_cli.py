@@ -227,6 +227,36 @@ class TestCompose:
         path = write_ledger(tmp_path, {"entries": [{"kind": "gaussian", "params": {"sigma": 1.0}}]})
         assert main(["compose", "--ledger", path]) == 2
 
+    @pytest.mark.parametrize(
+        "doc, line",
+        [
+            ({"entries": {}}, "PATH: 'entries' must be a list"),
+            ({"entries": [1.0]}, "PATH: entry 0: must be an object"),
+            (
+                {"entries": [{"kind": "pure_dp", "params": {"eps": 1.0}, "weight": 2}]},
+                "PATH: entry 0: unknown keys ['weight']",
+            ),
+            ({"entries": [{"kind": "pure_dp"}]}, "PATH: entry 0: needs 'kind' and 'params'"),
+            ({"entries": [{"kind": "pure_dp", "params": [1.0]}]}, "PATH: entry 0: 'params' must be an object"),
+            (
+                {"entries": [{"kind": "pure_dp", "params": {"eps": 1.0}, "label": 3}]},
+                "PATH: entry 0: 'label' must be a string",
+            ),
+            (
+                {"entries": [{"kind": "gaussian", "params": {"sensitivity": 1.0, "sigma": 0.0}}]},
+                "gaussian entry needs sigma > 0",
+            ),
+            (
+                {"entries": [{"kind": "gaussian", "params": {"sensitivity": -1.0, "sigma": 1.0}}]},
+                "gaussian entry needs sensitivity >= 0",
+            ),
+        ],
+    )
+    def test_each_refusal_is_its_own_line(self, doc, line, tmp_path, capsys):
+        path = write_ledger(tmp_path, doc)
+        assert main(["compose", "--ledger", path]) == 2
+        assert capsys.readouterr() == ("", "error: " + line.replace("PATH", path) + "\n")
+
     def test_requires_ledger_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compose"])

@@ -64,6 +64,28 @@ class TestGaussian:
         with pytest.raises(ValueError, match="order"):
             gaussian_renyi(1.0, 1.0, 0.5)
 
+    def test_renyi_is_the_order_times_rho(self):
+        rng = random.Random(12)
+        for _ in range(2000):
+            shift, sigma = 10.0 ** rng.uniform(-150, 150), 10.0 ** rng.uniform(-150, 150)
+            a = rng.choice(FINITE_ALPHAS)
+            rho = gaussian_rho(GaussianMech(shift, sigma))
+            assert gaussian_renyi(shift, sigma, a) == gaussian_renyi(-shift, sigma, a) == a * rho
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_renyi_where_a_square_leaves_the_normal_floats(self, scale):
+        assert gaussian_renyi(scale, scale, 2.0) == 1.0
+        assert gaussian_renyi(-scale, scale, 2.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "shift, sigma",
+        [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf), (1.0, math.nan), (1.0, 0.0), (1.0, -1.0)],
+    )
+    @pytest.mark.parametrize("alpha", [2.0, math.inf])
+    def test_renyi_rejects_non_finite_parameters(self, shift, sigma, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_renyi(shift, sigma, alpha)
+
     def test_rho_keeps_the_direct_form_where_squares_are_normal(self):
         rng = random.Random(11)
         for _ in range(20000):
@@ -219,6 +241,22 @@ class TestThresholdedGaussian:
         assert normal_upper_tail(2.0, sigma=2.0) == pytest.approx(
             0.15865525393145707, abs=1e-16
         )
+
+    def test_normal_upper_tail_at_infinite_u(self):
+        assert normal_upper_tail(math.inf) == 0.0
+        assert normal_upper_tail(-math.inf, 2.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "u, sigma", [(math.nan, 1.0), (1.0, 0.0), (1.0, -1.0), (1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_normal_upper_tail_rejects_bad_arguments(self, u, sigma):
+        with pytest.raises(ValueError, match="positive finite sigma"):
+            normal_upper_tail(u, sigma)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_a_sigma_that_is_not_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="positive finite sigma"):
+            thresholded_gaussian(sigma, 3.0)
 
     def test_threshold_three_sigma_one(self):
         plus, minus = thresholded_gaussian(1.0, 3.0)

@@ -12,7 +12,6 @@ import random
 import pytest
 
 import cdpacct.accountant as acct
-import cdpacct.mechanisms as mech
 from cdpacct import ZcdpParams, calibrate_sigma_for_dp, eps_for_delta, eps_of_delta
 
 
@@ -51,8 +50,7 @@ def plain(monkeypatch):
 
     def run(fn, *args):
         with monkeypatch.context() as m:
-            for module in (acct, mech):
-                m.setattr(module, "_search", scan_and_bisect)
+            m.setattr(acct, "_search", scan_and_bisect)
             return outcome(fn, *args)
 
     return run
@@ -171,7 +169,7 @@ def test_an_estimate_outside_the_domain_gives_back_f():
 
 @pytest.fixture
 def refined_calls(monkeypatch):
-    """A one-element list counting calls of the refined kernel from either module."""
+    """A one-element list counting calls of the refined kernel."""
     calls = [0]
     original = acct._refined
 
@@ -179,8 +177,7 @@ def refined_calls(monkeypatch):
         calls[0] += 1
         return original(xi, rho, eps)
 
-    for module in (acct, mech):
-        monkeypatch.setattr(module, "_refined", counted)
+    monkeypatch.setattr(acct, "_refined", counted)
     return calls
 
 
