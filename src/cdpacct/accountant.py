@@ -16,7 +16,12 @@ from typing import Callable, Mapping, Sequence
 from .oracle import delta_exact_gaussian
 
 
-@dataclass(frozen=True)
+# The value types are frozen dataclasses whose __init__ checks the arguments
+# and writes them into the instance __dict__: half the cost of the generated
+# __init__ and a __post_init__, and a ledger query builds about a hundred.
+
+
+@dataclass(frozen=True, init=False)
 class ZcdpParams:
     """A (xi, rho) concentrated-DP budget, optionally delta-approximate.
 
@@ -28,30 +33,34 @@ class ZcdpParams:
     rho: float
     delta_approx: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.xi < math.inf:
+    def __init__(self, xi: float, rho: float, delta_approx: float = 0.0) -> None:
+        if not 0.0 <= xi < math.inf:
             raise ValueError("xi must be nonnegative and finite")
-        if not 0.0 <= self.rho < math.inf:
+        if not 0.0 <= rho < math.inf:
             raise ValueError("rho must be nonnegative and finite")
-        if not 0.0 <= self.delta_approx <= 1.0:
+        if not 0.0 <= delta_approx <= 1.0:
             raise ValueError("delta_approx must be in [0, 1]")
+        state = self.__dict__
+        state["xi"], state["rho"], state["delta_approx"] = xi, rho, delta_approx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DpPoint:
     """One (eps, delta) point on an approximate-DP tradeoff curve."""
 
     eps: float
     delta: float
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.eps) or self.eps < 0.0:
+    def __init__(self, eps: float, delta: float) -> None:
+        if not eps >= 0.0:  # NaN fails this too
             raise ValueError("eps must be nonnegative")
-        if not 0.0 <= self.delta <= 1.0:
+        if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must be in [0, 1]")
+        state = self.__dict__
+        state["eps"], state["delta"] = eps, delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class McdpParams:
     """Mean-concentrated parameters: loss mean bound mu, subgaussian scale tau.
 
@@ -62,11 +71,13 @@ class McdpParams:
     mu: float
     tau: float
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.mu):
+    def __init__(self, mu: float, tau: float) -> None:
+        if math.isnan(mu):
             raise ValueError("mu must be a real number")
-        if math.isnan(self.tau) or self.tau < 0.0:
+        if math.isnan(tau) or tau < 0.0:
             raise ValueError("tau must be nonnegative")
+        state = self.__dict__
+        state["mu"], state["tau"] = mu, tau
 
 
 # Ledger file schema: required numeric fields per entry kind.
@@ -79,33 +90,37 @@ LEDGER_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LedgerEntry:
-    """One mechanism invocation awaiting composition."""
+    """One mechanism invocation awaiting composition.
+
+    params is any mapping with exactly the kind's LEDGER_FIELDS, each a
+    finite int or float; it is stored as a new dict of floats in the
+    caller's key order.
+    """
 
     kind: str
     params: Mapping[str, float]
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if self.kind not in LEDGER_FIELDS:
-            raise ValueError(
-                f"unknown entry kind {self.kind!r}; expected one of {sorted(LEDGER_FIELDS)}"
-            )
-        required = LEDGER_FIELDS[self.kind]
-        params = dict(self.params)
+    def __init__(self, kind: str, params: Mapping[str, float], label: str = "") -> None:
+        if kind not in LEDGER_FIELDS:
+            raise ValueError(f"unknown entry kind {kind!r}; expected one of {sorted(LEDGER_FIELDS)}")
+        required = LEDGER_FIELDS[kind]
         for name in required:
             if name not in params:
-                raise ValueError(f"entry kind {self.kind!r} requires field {name!r}")
+                raise ValueError(f"entry kind {kind!r} requires field {name!r}")
             value = params[name]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"field {name!r} must be a number, got {value!r}")
             if not -math.inf < float(value) < math.inf:
                 raise ValueError(f"field {name!r} must be finite, got {value!r}")
-        extras = set(params) - set(required)
-        if extras:
-            raise ValueError(f"entry kind {self.kind!r} has unknown fields {sorted(extras)}")
-        object.__setattr__(self, "params", {k: float(v) for k, v in params.items()})
+        if len(params) != len(required):
+            extras = set(params) - set(required)
+            raise ValueError(f"entry kind {kind!r} has unknown fields {sorted(extras)}")
+        state = self.__dict__
+        state["kind"], state["label"] = kind, label
+        state["params"] = {k: float(v) for k, v in params.items()}
 
 
 def entry_to_zcdp(entry: LedgerEntry) -> ZcdpParams:
@@ -137,10 +152,17 @@ _SQUARE_MIN, _SQUARE_MAX = 2.0**-511, 2.0**511
 
 
 def _gaussian_rho(sensitivity: float, sigma: float) -> float:
-    """sensitivity^2 / (2 sigma^2), as 0.5 (sensitivity / sigma)^2 where a square is not normal."""
+    """sensitivity^2 / (2 sigma^2), as 0.5 (sensitivity / sigma)^2 where a square is not normal.
+
+    Raises OverflowError where sensitivity / sigma exceeds the floats, which
+    float division reports as inf.
+    """
     if _SQUARE_MIN <= sensitivity < _SQUARE_MAX and _SQUARE_MIN <= sigma < _SQUARE_MAX:
         return sensitivity**2 / (2.0 * sigma**2)
-    return 0.5 * (sensitivity / sigma) ** 2
+    ratio = sensitivity / sigma
+    if ratio == math.inf:
+        raise OverflowError("sensitivity / sigma exceeds the largest float")
+    return 0.5 * ratio**2
 
 
 def compose(entries: Sequence[ZcdpParams]) -> ZcdpParams:
@@ -193,9 +215,9 @@ def zcdp_to_dp_simple(params: ZcdpParams, delta: float) -> DpPoint:
     return DpPoint(eps_of_delta(params, delta, "simple"), delta)
 
 
-def _simple_tail(xi: float, rho: float, eps: float) -> float:
-    """The simple conversion's delta at eps >= xi + rho, for rho > 0."""
-    return math.exp(-((eps - xi - rho) ** 2) / (4.0 * rho))
+def _simple_tail(d: float, rho: float) -> float:
+    """The simple conversion's delta at eps = xi + rho + d, for d >= 0 and rho > 0."""
+    return math.exp(-(d**2) / (4.0 * rho))
 
 
 def zcdp_to_dp_refined(params: ZcdpParams, eps: float) -> float:
@@ -221,10 +243,12 @@ def zcdp_to_dp_refined(params: ZcdpParams, eps: float) -> float:
 
 def _refined(xi: float, rho: float, eps: float) -> float:
     """zcdp_to_dp_refined on plain floats, unchecked: needs rho > 0 and eps >= xi + rho."""
-    a = (eps - xi - rho) / (2.0 * rho)
+    d = eps - xi - rho
+    a = d / (2.0 * rho)
     pi_rho = math.pi * rho
-    factor = min(math.sqrt(pi_rho), 2.0 / (1.0 + a + math.sqrt((1.0 + a) ** 2 + 4.0 / pi_rho)))
-    return _simple_tail(xi, rho, eps) * factor
+    root = math.sqrt(pi_rho)
+    fourth = 2.0 / (1.0 + a + math.sqrt((1.0 + a) ** 2 + 4.0 / pi_rho))
+    return _simple_tail(d, rho) * (fourth if fourth < root else root)
 
 
 def pure_dp_to_zcdp(eps: float) -> tuple[ZcdpParams, ZcdpParams]:
@@ -333,7 +357,7 @@ def delta_of_eps(params: ZcdpParams, eps: float, method: str = "refined") -> flo
     elif eps < xi + rho:
         base = 1.0
     elif method == "simple":
-        base = _simple_tail(xi, rho, eps)
+        base = _simple_tail(eps - xi - rho, rho)
     else:
         base = _refined(xi, rho, eps)
     return min(1.0, da + (1.0 - da) * base)
@@ -427,7 +451,9 @@ def _search(
     def h(x: float) -> float:
         return math.sqrt(-math.log(checked(x))) - lift
 
-    windowed = False
+    # Outside the window (a, b) the nearer end's decision stands.  Without a
+    # window a and b stay NaN, which no comparison holds against, so f decides.
+    a = b = math.nan
     try:
         lift = math.sqrt(-math.log(target))
         x0, x1 = seeds
@@ -439,25 +465,20 @@ def _search(
             x0, x1 = x1, x1 - h1 * (x1 - x0) / (h1 - h0)
             w = _WINDOW * max(abs(x1), floor)
             if abs(x1 - x0) <= 0.5 * w:
-                a, b = x1 - w, x1 + w
-                below, above = checked(a) <= target, checked(b) <= target
-                windowed = below != above
+                below, above = checked(x1 - w) <= target, checked(x1 + w) <= target
+                if below != above:
+                    a, b = x1 - w, x1 + w
                 break
             h0, h1 = h1, h(x1)
     except (ArithmeticError, ValueError):
         pass
 
-    def meets(x: float) -> bool:
-        if not windowed or a < x < b:
-            return f(x) <= target
-        return below if x <= a else above
-
-    if meets(end):
+    if below if end <= a else above if end >= b else f(end) <= target:
         return end
     last = end
     while 0.0 < step < math.inf:
         x = base + step
-        if x != last and meets(x):
+        if x != last and (below if x <= a else above if x >= b else f(x) <= target):
             break
         last, step = x, step * factor
     else:
@@ -467,7 +488,7 @@ def _search(
         mid = 0.5 * (good + bad)
         if mid == good or mid == bad:
             break
-        if meets(mid):
+        if below if mid <= a else above if mid >= b else f(mid) <= target:
             good = mid
         else:
             bad = mid
@@ -545,4 +566,7 @@ def advanced_composition_baseline(eps: float, k: int, delta_prime: float) -> flo
         raise ValueError("k must be a positive integer")
     if not 0.0 < delta_prime < 1.0:
         raise ValueError("delta_prime must be in (0, 1)")
-    return eps * math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) + k * eps * (math.expm1(eps))
+    inverse = 1.0 / delta_prime
+    # Below about 5.6e-309, 1 / delta_prime overflows; its log does not.
+    log_inv = math.log(inverse) if inverse < math.inf else -math.log(delta_prime)
+    return eps * math.sqrt(2.0 * k * log_inv) + k * eps * (math.expm1(eps))

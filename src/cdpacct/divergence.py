@@ -259,4 +259,8 @@ def loss_tail_bound(xi: float, rho: float, lam: float) -> float:
         raise ValueError("lambda must be nonnegative")
     if rho == 0.0:
         return 0.0
-    return math.exp(-lam * lam / (4.0 * rho))
+    exponent = lam * lam / (4.0 * rho)
+    if exponent != exponent:  # inf / inf: lam^2 and 4 rho both overflow
+        half = 0.5 * lam / math.sqrt(rho)
+        exponent = half * half
+    return math.exp(-exponent)

@@ -1,9 +1,13 @@
+import dataclasses
 import importlib
 import itertools
 import math
 import pkgutil
 import random
+import re
 import time
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -133,6 +137,152 @@ class TestLedgerEntries:
     def test_mcdp_entry_converts(self):
         e = LedgerEntry("mcdp", {"mu": 1.0, "tau": 1.0})
         assert entry_to_zcdp(e) == ZcdpParams(0.5, 0.5, 0.0)
+
+    def test_gaussian_entry_whose_quotient_overflows(self):
+        # sensitivity / sigma is 1e310: rho exceeds the floats.
+        e = LedgerEntry("gaussian", {"sensitivity": 1e300, "sigma": 1e-10})
+        with pytest.raises(OverflowError):
+            entry_to_zcdp(e)
+
+
+def refusal(make, *args):
+    with pytest.raises(ValueError) as exc:
+        make(*args)
+    return str(exc.value)
+
+
+class TestValueTypeContract:
+    """The four value types behave as frozen dataclasses that check their fields."""
+
+    EXAMPLES = [
+        (ZcdpParams(0.1, 0.2), ZcdpParams(0.1, 0.2, 0.0), ZcdpParams(0.1, 0.2, 1e-9)),
+        (DpPoint(1.0, 1e-6), DpPoint(1.0, 1e-6), DpPoint(1.0, 1e-7)),
+        (McdpParams(1.0, 0.5), McdpParams(1.0, 0.5), McdpParams(1.0, 0.25)),
+        (
+            LedgerEntry("pure_dp", {"eps": 1}),
+            LedgerEntry("pure_dp", {"eps": 1.0}),
+            LedgerEntry("pure_dp", {"eps": 1.0}, "x"),
+        ),
+    ]
+
+    def test_repr(self):
+        assert [repr(a) for a, _, _ in self.EXAMPLES] == [
+            "ZcdpParams(xi=0.1, rho=0.2, delta_approx=0.0)",
+            "DpPoint(eps=1.0, delta=1e-06)",
+            "McdpParams(mu=1.0, tau=0.5)",
+            "LedgerEntry(kind='pure_dp', params={'eps': 1.0}, label='')",
+        ]
+
+    @pytest.mark.parametrize("a, same, other", EXAMPLES)
+    def test_eq_and_hash(self, a, same, other):
+        assert a == same and a != other and not a != same
+        if isinstance(a, LedgerEntry):
+            with pytest.raises(TypeError):  # its params are a dict
+                hash(a)
+        else:
+            assert hash(a) == hash(same)
+            assert {a, same, other} == {a, other}
+
+    def test_fields_and_replace(self):
+        names = {
+            ZcdpParams: ["xi", "rho", "delta_approx"],
+            DpPoint: ["eps", "delta"],
+            McdpParams: ["mu", "tau"],
+            LedgerEntry: ["kind", "params", "label"],
+        }
+        for cls, want in names.items():
+            assert [f.name for f in dataclasses.fields(cls)] == want
+        assert dataclasses.replace(ZcdpParams(0.1, 0.2), rho=0.3) == ZcdpParams(0.1, 0.3)
+        assert dataclasses.replace(DpPoint(1.0, 0.5), delta=0.25) == DpPoint(1.0, 0.25)
+        assert dataclasses.replace(McdpParams(1.0, 0.5), mu=2.0) == McdpParams(2.0, 0.5)
+        entry = dataclasses.replace(LedgerEntry("pure_dp", {"eps": 1}), label="x")
+        assert entry == LedgerEntry("pure_dp", {"eps": 1.0}, "x")
+        # replace goes through __init__, so its checks hold too.
+        with pytest.raises(ValueError, match="rho must be nonnegative and finite"):
+            dataclasses.replace(ZcdpParams(0.1, 0.2), rho=-1.0)
+        with pytest.raises(ValueError, match="unknown fields"):
+            dataclasses.replace(entry, params={"eps": 1.0, "delta": 0.0})
+
+    @pytest.mark.parametrize("value, name", [(e[0], n) for e, n in zip(EXAMPLES, ["xi", "eps", "tau", "label"])])
+    def test_fields_cannot_be_assigned_or_deleted(self, value, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+
+    def test_refusal_messages(self):
+        assert [
+            refusal(ZcdpParams, -0.1, 0.0),
+            refusal(ZcdpParams, 0.0, math.nan),
+            refusal(ZcdpParams, 0.0, 0.0, 1.5),
+            refusal(DpPoint, math.nan, 0.0),
+            refusal(DpPoint, -1.0, 0.0),
+            refusal(DpPoint, 1.0, -0.1),
+            refusal(McdpParams, math.nan, 0.0),
+            refusal(McdpParams, 0.0, -0.5),
+            refusal(McdpParams, 0.0, math.nan),
+        ] == [
+            "xi must be nonnegative and finite",
+            "rho must be nonnegative and finite",
+            "delta_approx must be in [0, 1]",
+            "eps must be nonnegative",
+            "eps must be nonnegative",
+            "delta must be in [0, 1]",
+            "mu must be a real number",
+            "tau must be nonnegative",
+            "tau must be nonnegative",
+        ]
+
+    def test_ledger_refusals_come_in_order(self):
+        # Each input breaks its rule at the first required field, 'eps', and
+        # the later rules there or at 'delta', so only the first check that
+        # it reaches may name it.
+        kinds = "['approx_dp', 'gaussian', 'mcdp', 'pure_dp', 'zcdp']"
+        assert [
+            refusal(LedgerEntry, "laplace", {"bonus": "x"}),
+            refusal(LedgerEntry, "approx_dp", {"delta": "x", "bonus": 1.0}),
+            refusal(LedgerEntry, "approx_dp", {"delta": math.inf, "eps": True, "bonus": 1.0}),
+            refusal(LedgerEntry, "approx_dp", {"delta": "x", "eps": math.nan, "bonus": 1.0}),
+            refusal(LedgerEntry, "approx_dp", {"delta": 1.0, "eps": 1e400, "bonus": 1.0, "a": 2.0}),
+        ] == [
+            f"unknown entry kind 'laplace'; expected one of {kinds}",
+            "entry kind 'approx_dp' requires field 'eps'",
+            "field 'eps' must be a number, got True",
+            "field 'eps' must be finite, got nan",
+            "field 'eps' must be finite, got inf",
+        ]
+        assert refusal(LedgerEntry, "approx_dp", {"delta": 0.0, "eps": 1, "bonus": 1.0, "a": 2.0}) == (
+            "entry kind 'approx_dp' has unknown fields ['a', 'bonus']"
+        )
+
+    def test_ledger_params_keep_the_callers_key_order_as_floats(self):
+        given = {"delta": 0, "rho": 2, "xi": 0.5}
+        entry = LedgerEntry("zcdp", given)
+        assert list(entry.params.items()) == [("delta", 0.0), ("rho", 2.0), ("xi", 0.5)]
+        assert all(type(v) is float for v in entry.params.values())
+        given["rho"] = 3.0
+        assert entry.params["rho"] == 2.0  # a copy, not the caller's dict
+
+    def test_ledger_accepts_any_mapping(self):
+        class Params(Mapping):
+            def __init__(self, items):
+                self._data = dict(items)
+
+            def __getitem__(self, key):
+                return self._data[key]
+
+            def __iter__(self):
+                return iter(self._data)
+
+            def __len__(self):
+                return len(self._data)
+
+        want = {"sigma": 2.0, "sensitivity": 1.0}
+        for params in (MappingProxyType({"sigma": 2, "sensitivity": 1}), Params({"sigma": 2, "sensitivity": 1.0})):
+            entry = LedgerEntry("gaussian", params)
+            assert type(entry.params) is dict and list(entry.params.items()) == list(want.items())
+        with pytest.raises(ValueError, match=re.escape("unknown fields ['bonus']")):
+            LedgerEntry("pure_dp", Params({"eps": 1.0, "bonus": 2.0}))
 
 
 class TestCompose:
@@ -603,6 +753,23 @@ class TestCompositionCorollaries:
     def test_baseline_rejects_bad_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
             advanced_composition_baseline(eps, 3, 1e-6)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.0])
+    def test_baseline_of_zero_eps_at_a_subnormal_delta(self, eps):
+        # 1 / 5e-324 overflows, and 0 * log(inf) would be nan.
+        assert advanced_composition_baseline(eps, 10, 5e-324) == 0.0
+
+    def test_baseline_where_one_over_delta_overflows(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            eps, delta = rng.uniform(0.0, 2.0), 10.0 ** rng.uniform(-323.5, -308.3)
+            log_inv = -math.log(delta)
+            want = eps * math.sqrt(2.0 * 10 * log_inv) + 10 * eps * math.expm1(eps)
+            assert advanced_composition_baseline(eps, 10, delta) == want
+        # Where 1 / delta is a float, the log of it is taken as before.
+        for delta in (1e-300, 5.6e-309, 0.5):
+            want = 0.1 * math.sqrt(2.0 * 10 * math.log(1.0 / delta)) + 10 * 0.1 * math.expm1(0.1)
+            assert advanced_composition_baseline(0.1, 10, delta) == want
 
     def test_small_log_branch_returns_endpoint(self):
         # With a large failure budget the log factor goes nonpositive and

@@ -250,6 +250,10 @@ class TestCompose:
                 {"entries": [{"kind": "gaussian", "params": {"sensitivity": -1.0, "sigma": 1.0}}]},
                 "gaussian entry needs sensitivity >= 0",
             ),
+            (
+                {"entries": [{"kind": "gaussian", "params": {"sensitivity": 1e300, "sigma": 1e-10}}]},
+                "arguments outside floating-point range (OverflowError)",
+            ),
         ],
     )
     def test_each_refusal_is_its_own_line(self, doc, line, tmp_path, capsys):

@@ -308,6 +308,13 @@ class TestPrivacyLossDist:
         assert loss_tail_bound(0.0, 1.0, 0.0) == 1.0
         assert loss_tail_bound(0.0, 1.0, math.inf) == 0.0
 
+    def test_loss_tail_bound_where_lambda_squared_and_four_rho_overflow(self):
+        # lam^2 / (4 rho) is inf / inf in floats.
+        assert loss_tail_bound(0.0, 1.7e308, 1e200) == 0.0
+        assert loss_tail_bound(0.0, 1.7e308, math.inf) == 0.0
+        # (lam / 2)^2 / rho = 4.9e307 / 1.7e308, about 0.288.
+        assert loss_tail_bound(0.0, 1.7e308, 1.4e154) == pytest.approx(math.exp(-4.9e307 / 1.7e308), rel=1e-15)
+
 
 class TestTransforms:
     def test_pushforward_with_mapping_and_callable(self):

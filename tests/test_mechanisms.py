@@ -100,6 +100,14 @@ class TestGaussian:
         assert gaussian_rho(GaussianMech(scale, scale)) == 0.5
         assert gaussian_rho(GaussianMech(3.0 * scale, 2.0 * scale)) == pytest.approx(1.125, rel=1e-15)
 
+    @pytest.mark.parametrize("sensitivity, sigma", [(1e300, 1e-10), (1e-10, 5e-324), (1.7e308, 0.5)])
+    def test_rho_refuses_a_quotient_beyond_the_floats(self, sensitivity, sigma):
+        # Float division gives inf here without raising.
+        with pytest.raises(OverflowError):
+            gaussian_rho(GaussianMech(sensitivity, sigma))
+        with pytest.raises(OverflowError):
+            gaussian_renyi(sensitivity, sigma, 2.0)
+
     def test_multivariate_reduces_to_scalar(self):
         multi = MultiGaussianMech(3.0, 2.0, 7)
         scalar = multi.as_scalar()
