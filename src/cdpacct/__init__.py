@@ -17,6 +17,7 @@ from .accountant import (
     approx_zcdp_to_dp,
     compose,
     delta_of_eps,
+    delta_of_eps_grid,
     dp_composition_bound,
     dp_composition_refined,
     dp_family_to_zcdp,

@@ -154,11 +154,14 @@ _SQUARE_MIN, _SQUARE_MAX = 2.0**-511, 2.0**511
 def _gaussian_rho(sensitivity: float, sigma: float) -> float:
     """sensitivity^2 / (2 sigma^2), as 0.5 (sensitivity / sigma)^2 where a square is not normal.
 
-    Raises OverflowError where sensitivity / sigma exceeds the floats, which
-    float division reports as inf.
+    Raises OverflowError where the quotient, or sensitivity / sigma, exceeds
+    the floats, which float division reports as inf.
     """
     if _SQUARE_MIN <= sensitivity < _SQUARE_MAX and _SQUARE_MIN <= sigma < _SQUARE_MAX:
-        return sensitivity**2 / (2.0 * sigma**2)
+        rho = sensitivity**2 / (2.0 * sigma**2)
+        if rho == math.inf:
+            raise OverflowError("sensitivity^2 / (2 sigma^2) exceeds the largest float")
+        return rho
     ratio = sensitivity / sigma
     if ratio == math.inf:
         raise OverflowError("sensitivity / sigma exceeds the largest float")
@@ -339,28 +342,34 @@ CURVE_METHODS = ("simple", "refined", "exact_gaussian")
 
 
 def delta_of_eps(params: ZcdpParams, eps: float, method: str = "refined") -> float:
-    """delta at eps by one of CURVE_METHODS, as delta_approx + (1 - delta_approx) * delta'.
+    """delta at eps by one of CURVE_METHODS: delta_of_eps_grid on the one-point grid (eps,)."""
+    return delta_of_eps_grid(params, (eps,), method)[0]
+
+
+def delta_of_eps_grid(params: ZcdpParams, grid: Sequence[float], method: str = "refined") -> list[float]:
+    """delta at each eps of grid by one of CURVE_METHODS, as delta_approx + (1 - delta_approx) * delta'.
 
     delta' is 1 below eps = xi + rho for the closed forms; "exact_gaussian"
     is the exact curve of a Gaussian mechanism with this rho (Balle & Wang
     2018) and raises ValueError unless xi = 0 and rho >= MIN_EXACT_RHO.
+    A NaN point, then the budget and the method, are refused before any
+    point is evaluated; then one loop runs the method's formula.
     """
     xi, rho, da = params.xi, params.rho, params.delta_approx
-    if math.isnan(eps):
+    edge, keep = xi + rho, 1.0 - da
+    if any(map(math.isnan, grid)):
         raise ValueError("eps must be a number, got nan")
     if method == "exact_gaussian":
-        base = _exact_gaussian(params)(eps)
+        base = map(_exact_gaussian(params), grid)
     elif method not in CURVE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
     elif rho == 0.0:
-        base = 0.0 if eps >= xi else 1.0
-    elif eps < xi + rho:
-        base = 1.0
+        base = [0.0 if eps >= xi else 1.0 for eps in grid]
     elif method == "simple":
-        base = _simple_tail(eps - xi - rho, rho)
+        base = [1.0 if eps < edge else _simple_tail(eps - xi - rho, rho) for eps in grid]
     else:
-        base = _refined(xi, rho, eps)
-    return min(1.0, da + (1.0 - da) * base)
+        base = [1.0 if eps < edge else _refined(xi, rho, eps) for eps in grid]
+    return [min(1.0, da + keep * b) for b in base]
 
 
 def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> float:

@@ -12,6 +12,9 @@ Subcommands
 Exit codes: 0 success, 1 verification failure, 2 usage or schema error,
 3 I/O error.  Numeric output uses 12 significant digits in lowercase
 scientific notation, so identical inputs give byte-identical files.
+
+main parses a command's argv with that command's parser alone, and a
+delta_of_eps curve takes one accountant call for its whole grid.
 """
 
 from __future__ import annotations
@@ -48,8 +51,12 @@ class CliError(Exception):
         self.code = code
 
 
+# 12 significant digits, lowercase scientific notation.
+NUMBER_SPEC = ".11e"
+
+
 def fmt(x: float) -> str:
-    return format(x, ".11e")
+    return format(x, NUMBER_SPEC)
 
 
 def finite_float(text: str) -> float:
@@ -161,12 +168,13 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, "eps_of_delta grid must lie inside (0, 1)")
     if args.target == "delta_of_eps" and lo < 0.0:
         raise CliError(EXIT_USAGE, "delta_of_eps grid must be non-negative")
-    evaluate = acct.delta_of_eps if args.target == "delta_of_eps" else acct.eps_of_delta
     xs = grid_points(lo, hi, n)
-    values = [evaluate(params, x, args.method) for x in xs]
-    lines = ["x,value,method"]
-    lines.extend(f"{fmt(x)},{fmt(v)},{args.method}" for x, v in zip(xs, values))
-    _emit("\n".join(lines) + "\n", args.out)
+    if args.target == "delta_of_eps":
+        values = acct.delta_of_eps_grid(params, xs, args.method)
+    else:
+        values = [acct.eps_of_delta(params, x, args.method) for x in xs]
+    row = f"{{:{NUMBER_SPEC}}},{{:{NUMBER_SPEC}}},{args.method}".format
+    _emit("\n".join(["x,value,method", *map(row, xs, values)]) + "\n", args.out)
     return EXIT_OK
 
 
@@ -324,22 +332,29 @@ class _Parser(argparse.ArgumentParser):
     ones, so newlines in the message are escaped.
     """
 
+    commands: dict[str, argparse.ArgumentParser]  # set on the top-level parser by build_parser
+
     def error(self, message: str) -> NoReturn:
         message = message.replace("\n", "\\n")
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The cdpacct parser, built once per process: parse_args leaves it unchanged."""
+def build_parser() -> _Parser:
+    """The cdpacct parser, built once per process: parse_args leaves it unchanged.
+
+    Its commands dict maps each command name to the subparser that parses
+    the rest of that command's argv.
+    """
     parser = _Parser(
         prog="cdpacct",
         description="Concentrated differential privacy accounting.",
     )
+    parser.commands = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, fn, help: str, *numbers: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
+        p = parser.commands[name] = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
         for number in numbers:
             p.add_argument(f"--{number}", type=finite_float)
@@ -382,7 +397,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code; argparse exits itself on -h and usage errors.
+
+    An argv that starts with a command name is parsed by that command's
+    parser alone; arguments it does not take are the top-level parser's
+    error, as with the full parser, which parses any other argv.
+    """
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         return args.fn(args)
     except CliError as exc:

@@ -23,6 +23,7 @@ from cdpacct import (
     approx_zcdp_to_dp,
     compose,
     delta_of_eps,
+    delta_of_eps_grid,
     dp_composition_bound,
     dp_composition_refined,
     dp_family_to_zcdp,
@@ -40,7 +41,7 @@ from cdpacct import (
 )
 import cdpacct
 from cdpacct import accountant
-from cdpacct.accountant import MAX_GROUP_SIZE, MIN_EXACT_RHO, _search
+from cdpacct.accountant import CURVE_METHODS, MAX_GROUP_SIZE, MIN_EXACT_RHO, _search
 
 
 class TestParamTypes:
@@ -734,6 +735,85 @@ class TestCurveEvaluators:
         params = ZcdpParams(0.0, 5e159)
         eps = eps_of_delta(params, 1e-6, "exact_gaussian")
         assert eps == pytest.approx(eps_of_delta(params, 1e-6, "refined"), rel=1e-12)
+
+
+def one_point_delta(params, eps, method):
+    """delta_of_eps as one call per point computed it before the grid evaluator: the reference."""
+    xi, rho, da = params.xi, params.rho, params.delta_approx
+    if math.isnan(eps):
+        raise ValueError("eps must be a number, got nan")
+    if method == "exact_gaussian":
+        base = accountant._exact_gaussian(params)(eps)
+    elif method not in CURVE_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
+    elif rho == 0.0:
+        base = 0.0 if eps >= xi else 1.0
+    elif eps < xi + rho:
+        base = 1.0
+    elif method == "simple":
+        base = accountant._simple_tail(eps - xi - rho, rho)
+    else:
+        base = accountant._refined(xi, rho, eps)
+    return min(1.0, da + (1.0 - da) * base)
+
+
+def bits(values):
+    return [float.hex(v) for v in values]
+
+
+class TestDeltaOfEpsGrid:
+    def test_equals_one_point_calls_bit_for_bit(self):
+        rng = random.Random(1818)
+        for _ in range(400):
+            xi = rng.choice([0.0, 0.0, 10.0 ** rng.uniform(-6, 1)])
+            rho = rng.choice([0.0, MIN_EXACT_RHO, 10.0 ** rng.uniform(-12, 3), 10.0 ** rng.uniform(-12, 3)])
+            da = rng.choice([0.0, 0.0, 10.0 ** rng.uniform(-12, -0.01)])
+            params = ZcdpParams(xi, rho, da)
+            edge = xi + rho
+            # Points below xi + rho, at it, one ulp either side, above it, and the ends of the line.
+            grid = [rng.uniform(-1.0, 3.0 * edge + 10.0 * math.sqrt(rho) + 1.0) for _ in range(40)]
+            grid += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), xi, 0.0, -0.0, -math.inf, math.inf]
+            rng.shuffle(grid)
+            exact = xi == 0.0 and rho >= MIN_EXACT_RHO
+            for method in ("simple", "refined", "exact_gaussian") if exact else ("simple", "refined"):
+                got = delta_of_eps_grid(params, grid, method)
+                assert bits(got) == bits(one_point_delta(params, eps, method) for eps in grid), (params, method)
+                assert bits(got) == bits(delta_of_eps(params, eps, method) for eps in grid)
+
+    def test_a_huge_budget_matches_one_point_calls(self):
+        # Beyond eps = rho + 1.3e154, (eps - xi - rho)^2 in the closed forms
+        # overflows; the exact curve has no square there.
+        params = ZcdpParams(0.0, 5e159)
+        grid = [0.0, 1e159, 5e159, 5.0000000001e159, 1e160, 1e300]
+        got = delta_of_eps_grid(params, grid, "exact_gaussian")
+        assert bits(got) == bits(one_point_delta(params, eps, "exact_gaussian") for eps in grid)
+
+    def test_an_empty_grid_is_an_empty_curve(self):
+        assert delta_of_eps_grid(ZcdpParams(0.0, 0.5), [], "refined") == []
+
+    @pytest.mark.parametrize(
+        "params, grid, method",
+        [
+            (ZcdpParams(0.0, 0.5), [0.5, math.nan, 1.0], "refined"),
+            (ZcdpParams(0.2, 0.0, 1e-9), [math.nan], "simple"),
+            (ZcdpParams(0.0, 0.5), [0.5, math.nan], "exact_gaussian"),
+            (ZcdpParams(0.5, 0.5), [math.nan], "exact_gaussian"),
+            (ZcdpParams(0.0, 0.5), [math.nan], "exact"),
+            (ZcdpParams(0.0, 0.5), [0.5, 1.0], "exact"),
+            (ZcdpParams(0.5, 0.5), [0.5, 1.0], "exact_gaussian"),
+            (ZcdpParams(0.0, 0.0), [0.5, 1.0], "exact_gaussian"),
+            (ZcdpParams(0.0, math.nextafter(MIN_EXACT_RHO, 0.0)), [0.0, 1.0], "exact_gaussian"),
+            (ZcdpParams(0.0, 5e159), [0.0, 5e159, 1e160, 2e160], "simple"),
+            (ZcdpParams(0.0, 5e159), [0.0, 5e159, 1e160, 2e160], "refined"),
+        ],
+    )
+    def test_refuses_as_one_point_calls_do(self, params, grid, method):
+        with pytest.raises((ValueError, ArithmeticError)) as whole:
+            delta_of_eps_grid(params, grid, method)
+        with pytest.raises((ValueError, ArithmeticError)) as one:
+            for eps in grid:
+                one_point_delta(params, eps, method)
+        assert (type(whole.value), str(whole.value)) == (type(one.value), str(one.value))
 
 
 class TestCompositionCorollaries:

@@ -254,6 +254,10 @@ class TestCompose:
                 {"entries": [{"kind": "gaussian", "params": {"sensitivity": 1e300, "sigma": 1e-10}}]},
                 "arguments outside floating-point range (OverflowError)",
             ),
+            (
+                {"entries": [{"kind": "gaussian", "params": {"sensitivity": 1e150, "sigma": 1e-150}}]},
+                "arguments outside floating-point range (OverflowError)",
+            ),
         ],
     )
     def test_each_refusal_is_its_own_line(self, doc, line, tmp_path, capsys):

@@ -66,11 +66,18 @@ class TestGaussian:
 
     def test_renyi_is_the_order_times_rho(self):
         rng = random.Random(12)
+        refused = 0
         for _ in range(2000):
             shift, sigma = 10.0 ** rng.uniform(-150, 150), 10.0 ** rng.uniform(-150, 150)
             a = rng.choice(FINITE_ALPHAS)
+            if shift**2 / (2.0 * sigma**2) == math.inf:
+                refused += 1
+                with pytest.raises(OverflowError):
+                    gaussian_renyi(shift, sigma, a)
+                continue
             rho = gaussian_rho(GaussianMech(shift, sigma))
             assert gaussian_renyi(shift, sigma, a) == gaussian_renyi(-shift, sigma, a) == a * rho
+        assert 0 < refused < 2000
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_renyi_where_a_square_leaves_the_normal_floats(self, scale):
@@ -87,10 +94,19 @@ class TestGaussian:
             gaussian_renyi(shift, sigma, alpha)
 
     def test_rho_keeps_the_direct_form_where_squares_are_normal(self):
+        # Where the direct form is inf, the quotient exceeds the floats and is refused.
         rng = random.Random(11)
+        refused = 0
         for _ in range(20000):
             s, sigma = 10.0 ** rng.uniform(-150, 150), 10.0 ** rng.uniform(-150, 150)
-            assert gaussian_rho(GaussianMech(s, sigma)) == s**2 / (2.0 * sigma**2)
+            direct = s**2 / (2.0 * sigma**2)
+            if direct == math.inf:
+                refused += 1
+                with pytest.raises(OverflowError):
+                    gaussian_rho(GaussianMech(s, sigma))
+            else:
+                assert gaussian_rho(GaussianMech(s, sigma)) == direct
+        assert refused == 2344
         assert gaussian_rho(GaussianMech(0.0, 1e300)) == 0.0
 
     @pytest.mark.parametrize("scale", [1e200, 1e154, 2.0**511, 2.0**-512, 1e-160, 1e-200, 1e-300])
@@ -100,7 +116,9 @@ class TestGaussian:
         assert gaussian_rho(GaussianMech(scale, scale)) == 0.5
         assert gaussian_rho(GaussianMech(3.0 * scale, 2.0 * scale)) == pytest.approx(1.125, rel=1e-15)
 
-    @pytest.mark.parametrize("sensitivity, sigma", [(1e300, 1e-10), (1e-10, 5e-324), (1.7e308, 0.5)])
+    @pytest.mark.parametrize(
+        "sensitivity, sigma", [(1e300, 1e-10), (1e-10, 5e-324), (1.7e308, 0.5), (1e150, 1e-150)]
+    )
     def test_rho_refuses_a_quotient_beyond_the_floats(self, sensitivity, sigma):
         # Float division gives inf here without raising.
         with pytest.raises(OverflowError):

@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "approx_randomized_response", "approx_zcdp_to_dp", "calibrate_sigma_for_dp",
     "calibrate_sigma_for_rho", "certify_zcdp", "channel_pushforward", "compose",
     "delta_exact_gaussian", "delta_from_pld", "delta_gaussian_mc", "delta_of_eps",
-    "divergence_from_loss", "dp_composition_bound", "dp_composition_refined",
+    "delta_of_eps_grid", "divergence_from_loss", "dp_composition_bound", "dp_composition_refined",
     "dp_family_to_zcdp", "dp_to_approx_zcdp", "dp_to_approx_zcdp_maxdiv", "entry_to_zcdp",
     "eps_for_delta", "eps_of_delta", "exponential_mechanism", "gaussian_pld_discretized",
     "gaussian_renyi", "gaussian_renyi_quadrature", "gaussian_rho", "greedy_packing_net",
