@@ -110,17 +110,19 @@ class LedgerEntry:
         for name in required:
             if name not in params:
                 raise ValueError(f"entry kind {kind!r} requires field {name!r}")
-            value = params[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"field {name!r} must be a number, got {value!r}")
-            if not -math.inf < float(value) < math.inf:
+            value = number = params[name]
+            if type(value) is not float:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"field {name!r} must be a number, got {value!r}")
+                number = float(value)
+            if not -math.inf < number < math.inf:
                 raise ValueError(f"field {name!r} must be finite, got {value!r}")
         if len(params) != len(required):
             extras = set(params) - set(required)
             raise ValueError(f"entry kind {kind!r} has unknown fields {sorted(extras)}")
         state = self.__dict__
         state["kind"], state["label"] = kind, label
-        state["params"] = {k: float(v) for k, v in params.items()}
+        state["params"] = {k: v if type(v) is float else float(v) for k, v in params.items()}
 
 
 def entry_to_zcdp(entry: LedgerEntry) -> ZcdpParams:
@@ -176,12 +178,13 @@ def compose(entries: Sequence[ZcdpParams]) -> ZcdpParams:
     """
     if not entries:
         raise ValueError("compose needs at least one entry")
-    xi = math.fsum(e.xi for e in entries)
-    rho = math.fsum(e.rho for e in entries)
+    xi = math.fsum([e.xi for e in entries])
+    rho = math.fsum([e.rho for e in entries])
     keep = 1.0
-    for e in sorted(entries, key=lambda e: e.delta_approx):
-        keep *= 1.0 - e.delta_approx
-    return ZcdpParams(xi, rho, min(1.0, max(0.0, 1.0 - keep)))
+    for delta in sorted([e.delta_approx for e in entries]):
+        keep *= 1.0 - delta
+    # Each factor lies in [0, 1], so keep and 1 - keep do too: no clamp is needed.
+    return ZcdpParams(xi, rho, 1.0 - keep)
 
 
 # Largest group size: group_privacy sums the harmonic number term by term.
@@ -327,7 +330,8 @@ def approx_zcdp_to_dp(params: ZcdpParams, eps: float) -> DpPoint:
         return DpPoint(xi, da)
     if not eps >= xi + rho:
         raise ValueError("refined conversion needs eps >= xi + rho")
-    return DpPoint(eps, min(1.0, da + (1.0 - da) * _refined(xi, rho, eps)))
+    delta = da + (1.0 - da) * _refined(xi, rho, eps)
+    return DpPoint(eps, delta if delta < 1.0 else 1.0)
 
 
 def eps_for_delta(params: ZcdpParams, delta: float) -> float:
@@ -369,7 +373,7 @@ def delta_of_eps_grid(params: ZcdpParams, grid: Sequence[float], method: str = "
         base = [1.0 if eps < edge else _simple_tail(eps - xi - rho, rho) for eps in grid]
     else:
         base = [1.0 if eps < edge else _refined(xi, rho, eps) for eps in grid]
-    return [min(1.0, da + keep * b) for b in base]
+    return [d if (d := da + keep * b) < 1.0 else 1.0 for b in base]
 
 
 def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> float:
@@ -472,8 +476,8 @@ def _search(
         h0, h1 = math.sqrt(-math.log(f0)) - lift, h(x1)
         for _ in range(30):
             x0, x1 = x1, x1 - h1 * (x1 - x0) / (h1 - h0)
-            w = _WINDOW * max(abs(x1), floor)
-            if abs(x1 - x0) <= 0.5 * w:
+            w = _WINDOW * (-x1 if x1 < -floor else floor if x1 <= floor else x1)  # max(|x1|, floor)
+            if -0.5 * w <= x1 - x0 <= 0.5 * w:
                 below, above = checked(x1 - w) <= target, checked(x1 + w) <= target
                 if below != above:
                     a, b = x1 - w, x1 + w
@@ -493,7 +497,7 @@ def _search(
     else:
         raise ValueError("no value in floating-point range meets the target")
     good, bad = x, end
-    while abs(good - bad) > atol:
+    while good - bad > atol or bad - good > atol:
         mid = 0.5 * (good + bad)
         if mid == good or mid == bad:
             break

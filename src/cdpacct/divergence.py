@@ -259,8 +259,8 @@ def loss_tail_bound(xi: float, rho: float, lam: float) -> float:
         raise ValueError("lambda must be nonnegative")
     if rho == 0.0:
         return 0.0
-    exponent = lam * lam / (4.0 * rho)
-    if exponent != exponent:  # inf / inf: lam^2 and 4 rho both overflow
+    square = lam * lam
+    if square == math.inf:  # lam^2 overflows, though (lam / (2 sqrt(rho)))^2 may not
         half = 0.5 * lam / math.sqrt(rho)
-        exponent = half * half
-    return math.exp(-exponent)
+        return math.exp(-(half * half))
+    return math.exp(-square / (4.0 * rho))

@@ -159,10 +159,15 @@ def delta_exact_gaussian(eta: float, eps: float) -> float:
     from 1e-4 to 1e30 and below 2e-14/sqrt(eta) from 1e-8 to 1e-4: the two
     tails are both near 1/2 and differ by O(sqrt(eta)).  At eta = 1e-24 it
     reaches 1e-2, so the accountant refuses rho below 1e-8 (MIN_EXACT_RHO).
+    Where 2 eta overflows, s is sqrt(2) sqrt(eta).  A difference outside
+    (0, 1) is clamped to [0, 1]; it is NaN only for a NaN eps or an
+    infinite eta, and both raise ValueError.
     """
     if not eta > 0.0:
         raise ValueError("eta must be positive")
     s = math.sqrt(2.0 * eta)
+    if s == math.inf:  # 2 eta overflows, or eta is inf
+        s = _SQRT2 * math.sqrt(eta)
     v, u = (eps - eta) / s, (eps + eta) / s
     if u < 0.0:  # eps < -eta: e^eps is below 1 and the tail above 1/2
         first, second = 0.5 * math.erfc(v / _SQRT2), math.exp(eps) * 0.5 * math.erfc(u / _SQRT2)
@@ -170,7 +175,12 @@ def delta_exact_gaussian(eta: float, eps: float) -> float:
         scale = 0.5 * math.exp(-0.5 * v * v)
         first = scale * _erfcx(v / _SQRT2) if v >= 0.0 else 0.5 * math.erfc(v / _SQRT2)
         second = scale * _erfcx(u / _SQRT2)
-    return min(1.0, max(0.0, first - second))
+    delta = first - second
+    if 0.0 < delta < 1.0:
+        return delta
+    if delta != delta:  # only a NaN eps or an infinite eta makes NaN
+        raise ValueError("eta must be finite" if eta == math.inf else "eps must be a number, got nan")
+    return 1.0 if delta >= 1.0 else 0.0
 
 
 def delta_gaussian_mc(eta: float, eps: float, n_samples: int, seed: int) -> tuple[float, float]:

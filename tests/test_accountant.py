@@ -264,6 +264,16 @@ class TestValueTypeContract:
         given["rho"] = 3.0
         assert entry.params["rho"] == 2.0  # a copy, not the caller's dict
 
+    def test_ledger_converts_numbers_that_are_not_exactly_float(self):
+        # Float subclasses and ints are stored as floats, and a refusal names the caller's value.
+        entry = LedgerEntry("approx_dp", {"eps": np.float64(0.5), "delta": 0})
+        assert [(type(v), v) for v in entry.params.values()] == [(float, 0.5), (float, 0.0)]
+        assert refusal(LedgerEntry, "pure_dp", {"eps": np.float64(math.inf)}) == (
+            f"field 'eps' must be finite, got {np.float64(math.inf)!r}"
+        )
+        with pytest.raises(OverflowError):
+            LedgerEntry("pure_dp", {"eps": 10**400})
+
     def test_ledger_accepts_any_mapping(self):
         class Params(Mapping):
             def __init__(self, items):
@@ -313,12 +323,43 @@ class TestCompose:
             assert other.rho == pytest.approx(base.rho, abs=1e-12)
             assert other.delta_approx == pytest.approx(base.delta_approx, abs=1e-12)
 
+    def test_equals_the_builtin_form_bit_for_bit_under_permutations(self):
+        rng = random.Random(1921)
+        edges = [0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), 5e-324]
+        for _ in range(300):
+            parts = [
+                ZcdpParams(
+                    rng.choice([0.0, -0.0, 10.0 ** rng.uniform(-12, 2)]),
+                    rng.choice([0.0, 10.0 ** rng.uniform(-12, 3)]),
+                    rng.choice(edges) if rng.random() < 0.1 else rng.choice([rng.random(), 10.0 ** rng.uniform(-15, 0)]),
+                )
+                for _ in range(rng.randint(1, 12))
+            ]
+            want = bits(astuple(builtin_compose(parts)))
+            for _ in range(4):
+                rng.shuffle(parts)
+                assert bits(astuple(compose(parts))) == want, parts
+
     def test_associativity_via_nesting(self):
         a, b, c = ZcdpParams(0.1, 0.2), ZcdpParams(0.3, 0.4), ZcdpParams(0.5, 0.6)
         left = compose([compose([a, b]), c])
         right = compose([a, compose([b, c])])
         assert left.xi == pytest.approx(right.xi, abs=1e-12)
         assert left.rho == pytest.approx(right.rho, abs=1e-12)
+
+
+def builtin_compose(entries):
+    """compose with generator sums, a keyed sort and a min/max clamp: the reference."""
+    keep = 1.0
+    for e in sorted(entries, key=lambda e: e.delta_approx):
+        keep *= 1.0 - e.delta_approx
+    return ZcdpParams(
+        math.fsum(e.xi for e in entries), math.fsum(e.rho for e in entries), min(1.0, max(0.0, 1.0 - keep))
+    )
+
+
+def astuple(params):
+    return params.xi, params.rho, params.delta_approx
 
 
 class TestGroupPrivacy:
@@ -510,6 +551,19 @@ class TestApproxConversions:
     def test_back_conversion_zero_rho(self):
         pt = approx_zcdp_to_dp(ZcdpParams(0.7, 0.0, 0.05), 1.0)
         assert pt == DpPoint(0.7, 0.05)
+
+    def test_equals_the_builtin_clamp_bit_for_bit(self):
+        rng = random.Random(1922)
+        for _ in range(400):
+            xi = rng.choice([0.0, -0.0, 10.0 ** rng.uniform(-6, 1)])
+            rho = rng.choice([1e-150, 10.0 ** rng.uniform(-12, 3), 10.0 ** rng.uniform(-12, 3)])
+            da = rng.choice([0.0, 1.0, math.nextafter(1.0, 0.0), 10.0 ** rng.uniform(-15, 0)])
+            params, edge = ZcdpParams(xi, rho, da), xi + rho
+            points = [edge, math.nextafter(edge, math.inf), math.inf] + [edge + rng.expovariate(1.0) for _ in range(20)]
+            for eps in points:
+                got = approx_zcdp_to_dp(params, eps)
+                want = min(1.0, da + (1.0 - da) * accountant._refined(xi, rho, eps))
+                assert (got.eps, float.hex(got.delta)) == (eps, float.hex(want)), (params, eps)
 
     def test_round_trip_no_free_lunch(self):
         for eps in (0.1, 0.5, 1.0, 2.0):

@@ -361,6 +361,18 @@ class TestCurve:
         )
         assert rc == 0
 
+    def test_exact_gaussian_where_twice_rho_overflows(self, tmp_path, capsys):
+        # rho = 1.7e308: delta at eps up to 1e308 is 1, and no eps the search
+        # can reach meets a delta below 1.
+        path = write_ledger(tmp_path, {"entries": [{"kind": "zcdp", "params": {"xi": 0, "rho": 1.7e308, "delta": 0}}]})
+        args = ["curve", "delta_of_eps", "--ledger", path, "--grid", "0:1e308:3", "--method", "exact_gaussian"]
+        assert main(args) == 0
+        values = [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]]
+        assert values == [fmt(1.0)] * 3
+        err = assert_usage_error(["curve", "eps_of_delta", "--ledger", path, "--grid", "1e-9:1e-2:3",
+                                  "--method", "exact_gaussian"], capsys)
+        assert err == "error: no value in floating-point range meets the target\n"
+
     def test_byte_identical_across_runs(self, ledger_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["curve", "delta_of_eps", "--ledger", ledger_path, "--grid", "0.5:8:40"]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -314,6 +315,22 @@ class TestPrivacyLossDist:
         assert loss_tail_bound(0.0, 1.7e308, math.inf) == 0.0
         # (lam / 2)^2 / rho = 4.9e307 / 1.7e308, about 0.288.
         assert loss_tail_bound(0.0, 1.7e308, 1.4e154) == pytest.approx(math.exp(-4.9e307 / 1.7e308), rel=1e-15)
+
+    def test_loss_tail_bound_where_lambda_squared_overflows_alone(self):
+        # lam^2 is inf but 4 rho = 1.6e308 is not: the bound is e^(-1.14).
+        bound = loss_tail_bound(0.0, 4e307, 1.35e154)
+        assert bound == pytest.approx(math.exp(-((0.5 * 1.35e154) ** 2) / 4e307), rel=1e-15)
+        assert bound == pytest.approx(0.32, abs=0.01)
+
+    def test_loss_tail_bound_keeps_its_bits_where_lambda_squared_is_finite(self):
+        rng = random.Random(1923)
+        for _ in range(3000):
+            # Half the draws have 4 rho beyond the floats.
+            rho = rng.choice([10.0 ** rng.uniform(-300.0, 308.25), rng.uniform(4.5e307, 1.7976931348623157e308)])
+            lam = rng.choice([0.0, 10.0 ** rng.uniform(-300.0, 154.12), 10.0 ** rng.uniform(153.0, 154.12)])
+            if lam * lam < math.inf:
+                expect = math.exp(-(lam * lam / (4.0 * rho)))
+                assert loss_tail_bound(0.0, rho, lam).hex() == expect.hex(), (rho, lam)
 
 
 class TestTransforms:

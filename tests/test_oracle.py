@@ -12,6 +12,7 @@ from cdpacct import (
     delta_exact_gaussian,
     delta_from_pld,
     delta_gaussian_mc,
+    delta_of_eps,
     divergence_from_loss,
     gaussian_pld_discretized,
     gaussian_renyi,
@@ -27,7 +28,7 @@ from cdpacct import (
     zcdp_to_dp_refined,
     zcdp_to_dp_simple,
 )
-from cdpacct.oracle import _erfcx, _log_upper_tail
+from cdpacct.oracle import _SQRT2, _erfcx, _log_upper_tail
 from conftest import random_dist
 
 
@@ -105,6 +106,23 @@ def sixty_digit_delta(eta: float, eps: float) -> float:
         s = mpmath.sqrt(2 * eta)
         first = mpmath.ncdf(-(eps - eta) / s)
         return float(first - mpmath.exp(eps) * mpmath.ncdf(-(eps + eta) / s))
+
+
+# Above this, 2 eta overflows.
+HALF_MAX = 0.5 * 1.7976931348623157e308
+
+
+def builtin_delta(eta: float, eps: float) -> float:
+    """delta_exact_gaussian with its old min(1, max(0, .)) clamp: the reference for 0 < 2 eta < inf."""
+    s = math.sqrt(2.0 * eta)
+    v, u = (eps - eta) / s, (eps + eta) / s
+    if u < 0.0:
+        first, second = 0.5 * math.erfc(v / _SQRT2), math.exp(eps) * 0.5 * math.erfc(u / _SQRT2)
+    else:
+        scale = 0.5 * math.exp(-0.5 * v * v)
+        first = scale * _erfcx(v / _SQRT2) if v >= 0.0 else 0.5 * math.erfc(v / _SQRT2)
+        second = scale * _erfcx(u / _SQRT2)
+    return min(1.0, max(0.0, first - second))
 
 
 class TestErfcx:
@@ -204,6 +222,49 @@ class TestDeltaExactGaussian:
         values = [delta_exact_gaussian(0.5, e) for e in (0.0, 0.5, 1.0, 2.0, 4.0)]
         for hi, lo in zip(values, values[1:]):
             assert lo < hi
+
+    def test_equals_the_builtin_clamp_bit_for_bit(self):
+        # Every branch: u < 0, v < 0 <= u, v >= 0, and arguments of _erfcx
+        # from 26 up; at +-0, +-inf and etas up to HALF_MAX, where 2 eta is finite.
+        rng = random.Random(1919)
+        etas = [5e-324, 1e-300, 1e-8, 0.5, 1e30, 1e300, HALF_MAX, math.nextafter(HALF_MAX, 0.0)]
+        etas += [math.exp(rng.uniform(math.log(1e-12), math.log(1e300))) for _ in range(300)]
+        checked = 0
+        for eta in etas:
+            s = math.sqrt(2.0 * eta)
+            points = [0.0, -0.0, math.inf, -math.inf, eta, -eta, math.nextafter(eta, 0.0), math.nextafter(-eta, 0.0)]
+            # Below -eta, between -eta and eta, above eta, and where (eps + eta)/(s sqrt 2) passes 26.
+            points += [-eta - s * rng.uniform(0.0, 40.0) for _ in range(5)]
+            points += [rng.uniform(-eta, eta) for _ in range(5)]
+            points += [eta + s * rng.uniform(0.0, 60.0) for _ in range(5)]
+            points += [26.0 * _SQRT2 * s - eta + s * rng.uniform(-0.1, 0.1) for _ in range(5)]
+            for eps in points:
+                assert float.hex(delta_exact_gaussian(eta, eps)) == float.hex(builtin_delta(eta, eps)), (eta, eps)
+                checked += 1
+        assert checked == 28 * len(etas)
+
+    @pytest.mark.parametrize("eta", [1e-8, 0.5, 1e300, math.inf])
+    def test_refuses_a_nan_eps(self, eta):
+        with pytest.raises(ValueError, match="eps must be a number" if eta < math.inf else "eta must be finite"):
+            delta_exact_gaussian(eta, math.nan)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1e300, math.inf, -math.inf])
+    def test_refuses_an_infinite_eta(self, eps):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            delta_exact_gaussian(math.inf, eps)
+
+    def test_where_twice_eta_overflows(self):
+        # 2 eta is inf above HALF_MAX; s is then sqrt(2) sqrt(eta).
+        assert delta_exact_gaussian(8e307, 1.0) == delta_exact_gaussian(9e307, 1.0) == 1.0
+        rng = random.Random(1920)
+        for _ in range(40):
+            eta = rng.uniform(math.nextafter(HALF_MAX, math.inf), 1.7976931348623157e308)
+            eps = eta + math.sqrt(2.0) * math.sqrt(eta) * rng.uniform(-3.0, 37.0)
+            expect = sixty_digit_delta(eta, eps)
+            if expect > 1e-300:
+                assert delta_exact_gaussian(eta, eps) == pytest.approx(expect, rel=1e-11, abs=0.0), (eta, eps)
+        assert delta_of_eps(ZcdpParams(0.0, 1.7e308), 1.0, "exact_gaussian") == 1.0
+        assert delta_of_eps(ZcdpParams(0.0, 1.7e308), 1.7e308, "exact_gaussian") == pytest.approx(0.5, rel=1e-12)
 
 
 class TestDiscretizedPld:
