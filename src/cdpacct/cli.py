@@ -28,6 +28,7 @@ from typing import NoReturn
 
 from . import accountant as acct
 from . import bounds, mechanisms
+from .oracle import grid_points
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -36,7 +37,7 @@ EXIT_IO = 3
 
 REPORT_DELTAS = (1e-5, 1e-6, 1e-8)
 
-# sorted(verify.SUITES), listed here so that parsing does not load verify and numpy.
+# sorted(verify.SUITES), listed here so that parsing does not load verify.
 VERIFY_SUITES = ("appendix", "conversions", "divergence", "group", "mi", "packing")
 
 # Most points a curve may have: the grid is checked before any is computed.
@@ -152,12 +153,6 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
     if not 2 <= n <= MAX_GRID_POINTS:
         raise CliError(EXIT_USAGE, f"grid needs 2 to {MAX_GRID_POINTS} points, got {n}")
     return lo, hi, n
-
-
-def grid_points(lo: float, hi: float, n: int) -> list[float]:
-    """The points of np.linspace(lo, hi, n), unless (hi - lo) / (n - 1) underflows to 0."""
-    step = (hi - lo) / (n - 1)
-    return [i * step + lo for i in range(n - 1)] + [hi]
 
 
 def cmd_curve(args: argparse.Namespace) -> int:

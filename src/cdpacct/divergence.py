@@ -259,8 +259,8 @@ def loss_tail_bound(xi: float, rho: float, lam: float) -> float:
         raise ValueError("lambda must be nonnegative")
     if rho == 0.0:
         return 0.0
-    square = lam * lam
-    if square == math.inf:  # lam^2 overflows, though (lam / (2 sqrt(rho)))^2 may not
+    square, four_rho = lam * lam, 4.0 * rho
+    if square == math.inf or four_rho == math.inf:  # (lam / (2 sqrt(rho)))^2 may still be finite
         half = 0.5 * lam / math.sqrt(rho)
         return math.exp(-(half * half))
-    return math.exp(-square / (4.0 * rho))
+    return math.exp(-square / four_rho)

@@ -5,14 +5,15 @@ divergences are integrated from the raw density ratio, delta curves are
 evaluated from the tail functional, and the counterexample quantities are
 assembled from first principles with high-precision normal tails.
 Every normal tail comes from math.erfc or _erfcx, a scaled erfc of its own,
-so the exact-Gaussian delta and the counterexample need only the standard
-library.  The quadrature, Monte Carlo and discretized-PLD oracles import
-numpy when called, so importing the package does not load it.
+and the Monte Carlo estimators draw from random.Random(seed), so every
+oracle needs only the standard library.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .divergence import OutcomeDist, PrivacyLossDist, aligned_probs, renyi_divergence
@@ -32,22 +33,24 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be positive")
 
 
+def grid_points(lo: float, hi: float, n: int) -> list[float]:
+    """The points of np.linspace(lo, hi, n), unless (hi - lo) / (n - 1) underflows to 0."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
 def _log_simpson(log_f, lo: float, hi: float, panels: int) -> float:
     """log of the composite-Simpson integral of exp(log_f) on [lo, hi].
 
     panels must be even.  Weights are folded into the log-sum-exp so the
     integrand may span hundreds of orders of magnitude.
     """
-    import numpy as np
-
-    x = np.linspace(lo, hi, panels + 1)
-    logs = np.array([log_f(v) for v in x])
-    weights = np.full(panels + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    top = float(logs.max())
+    logs = [log_f(x) for x in grid_points(lo, hi, panels + 1)]
+    weights = [1.0] + [4.0, 2.0] * (panels // 2 - 1) + [4.0, 1.0]
+    top = max(logs)
     h = (hi - lo) / panels
-    return top + math.log(float(np.sum(weights * np.exp(logs - top)))) + math.log(h / 3.0)
+    total = math.fsum(w * math.exp(v - top) for w, v in zip(weights, logs))
+    return top + math.log(total) + math.log(h / 3.0)
 
 
 def _converged_log_simpson(
@@ -187,24 +190,28 @@ def delta_gaussian_mc(eta: float, eps: float, n_samples: int, seed: int) -> tupl
     """Monte Carlo evaluation of the same tail functional: (estimate, std_error).
 
     Used to validate the closed form before it is trusted as an oracle.
+    The losses come from random.Random(seed).gauss; a NaN eps or an
+    infinite eta raises ValueError.
     """
-    if not eta > 0.0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
+    if eps != eps:
+        raise ValueError("eps must be a number, got nan")
     if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    z = rng.normal(eta, math.sqrt(2.0 * eta), size=n_samples)
-    vals = np.maximum(0.0, -np.expm1(eps - z))
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    return est, se
+    rng = random.Random(seed)
+    s = math.sqrt(2.0 * eta)
+    vals = [max(0.0, -math.expm1(eps - rng.gauss(eta, s))) for _ in range(n_samples)]
+    est = math.fsum(vals) / n_samples
+    var = math.fsum((v - est) ** 2 for v in vals) / (n_samples - 1)
+    return est, math.sqrt(var / n_samples)
 
 
-def gaussian_pld_discretized(
-    eta: float, points: int = 4000, half_width_sigmas: float = 12.0
-) -> PrivacyLossDist:
+# Half-width of gaussian_pld_discretized's window, in standard deviations.
+PLD_HALF_WIDTH_SIGMAS = 12.0
+
+
+def gaussian_pld_discretized(eta: float, points: int = 4000) -> PrivacyLossDist:
     """Discretized Normal(eta, 2 eta) privacy loss on a uniform grid.
 
     Each bin's mass sits at its upper edge, so tail masses and the delta
@@ -215,12 +222,11 @@ def gaussian_pld_discretized(
         raise ValueError("eta must be positive")
     if points < 2:
         raise ValueError("need at least 2 grid points")
-    import numpy as np
-
     s = math.sqrt(2.0 * eta)
-    edges = np.linspace(eta - half_width_sigmas * s, eta + half_width_sigmas * s, points + 1)
-    cdf = np.array([0.5 * math.erfc((eta - edge) / (s * _SQRT2)) for edge in edges.tolist()])
-    mass = np.diff(cdf)
+    w = PLD_HALF_WIDTH_SIGMAS * s
+    edges = grid_points(eta - w, eta + w, points + 1)
+    cdf = [0.5 * math.erfc((eta - edge) / (s * _SQRT2)) for edge in edges]
+    mass = [b - a for a, b in zip(cdf, cdf[1:])]
     mass[0] += cdf[0]
     mass[-1] += 1.0 - cdf[-1]
     return PrivacyLossDist(tuple(edges[1:]), tuple(mass))
@@ -364,7 +370,7 @@ def mc_divergence_estimate(
 ) -> McEstimate:
     """Plug-in Monte Carlo estimate of D_alpha from empirical frequencies.
 
-    Draws n_samples from each distribution with a seeded PCG64 generator
+    Draws n_samples from each distribution with random.Random(seed)
     (bit-reproducible), forms empirical frequency vectors, and evaluates
     the divergence on them.  The standard error comes from the delta
     method applied to the moment sum S = sum p_hat^alpha q_hat^(1-alpha)
@@ -375,27 +381,25 @@ def mc_divergence_estimate(
         raise ValueError("estimator requires finite alpha > 1")
     if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
-    import numpy as np
+    rng = random.Random(seed)
 
-    q_aligned = aligned_probs(p, q)
-    rng = np.random.default_rng(seed)
-    p_counts = rng.multinomial(n_samples, np.asarray(p.probs) / math.fsum(p.probs))
-    q_counts = rng.multinomial(n_samples, np.asarray(q_aligned) / math.fsum(q_aligned))
-    p_hat = p_counts / n_samples
-    q_hat = q_counts / n_samples
-    if np.any((p_hat > 0.0) & (q_hat == 0.0)):
+    def frequencies(probs: tuple[float, ...]) -> list[float]:
+        counts = Counter(rng.choices(range(len(probs)), probs, k=n_samples))
+        return [counts[i] / n_samples for i in range(len(probs))]
+
+    p_hat, q_hat = frequencies(p.probs), frequencies(aligned_probs(p, q))
+    if any(a > 0.0 and b == 0.0 for a, b in zip(p_hat, q_hat)):
         return McEstimate(math.inf, math.nan, True)
-    live = p_hat > 0.0
-    ratio = np.where(live, p_hat / np.where(q_hat > 0.0, q_hat, 1.0), 0.0)
-    s_terms = np.where(live, p_hat * ratio ** (alpha - 1.0), 0.0)
-    s = float(np.sum(s_terms))
+    # Outcomes p_hat never drew add nothing to S or to either gradient below.
+    live = [(a, b, a / b) for a, b in zip(p_hat, q_hat) if a > 0.0]
+    s = math.fsum(a * r ** (alpha - 1.0) for a, _, r in live)
     estimate = math.log(s) / (alpha - 1.0)
     # Delta method: gradients of S w.r.t. the two frequency vectors under
     # multinomial covariance (diag(v) - v v^T) / n.
-    g_p = np.where(live, alpha * ratio ** (alpha - 1.0), 0.0)
-    g_q = np.where(live, (1.0 - alpha) * ratio**alpha, 0.0)
-    var_p = float(np.sum(p_hat * g_p**2) - np.sum(p_hat * g_p) ** 2) / n_samples
-    var_q = float(np.sum(q_hat * g_q**2) - np.sum(q_hat * g_q) ** 2) / n_samples
+    g_p = [(a, alpha * r ** (alpha - 1.0)) for a, _, r in live]
+    g_q = [(b, (1.0 - alpha) * r**alpha) for _, b, r in live]
+    var_p = (math.fsum(a * g * g for a, g in g_p) - math.fsum(a * g for a, g in g_p) ** 2) / n_samples
+    var_q = (math.fsum(b * g * g for b, g in g_q) - math.fsum(b * g for b, g in g_q) ** 2) / n_samples
     var_s = max(0.0, var_p + var_q)
     std_error = math.sqrt(var_s) / ((alpha - 1.0) * s)
     return McEstimate(estimate, std_error, False)

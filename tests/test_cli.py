@@ -49,7 +49,7 @@ PLAIN = {"entries": [e for e in MIXED["entries"] if e["kind"] in ("gaussian", "p
 # digit, so libm's last digits seldom reach the output.  The exact-Gaussian
 # delta curve and the verify suite conversions are left out, as their last
 # digits follow the platform's libm erfc and exp; so is the appendix
-# suite, whose digits follow the numpy version and libm.
+# suite, whose digits follow libm alone.
 OUTPUT_PINS = json.loads((Path(__file__).parent / "cli_output_pins.json").read_text())
 
 

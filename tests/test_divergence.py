@@ -322,12 +322,23 @@ class TestPrivacyLossDist:
         assert bound == pytest.approx(math.exp(-((0.5 * 1.35e154) ** 2) / 4e307), rel=1e-15)
         assert bound == pytest.approx(0.32, abs=0.01)
 
+    def test_loss_tail_bound_where_four_rho_overflows_alone(self):
+        # 4 rho is inf but lam^2 = 1.69e308 is not: the bound is e^(-0.4225), not 1.
+        assert loss_tail_bound(0.0, 1e308, 1.3e154) == pytest.approx(math.exp(-0.4225), rel=1e-15)
+        rng = random.Random(1924)
+        for _ in range(500):
+            rho = rng.uniform(4.5e307, 1.7976931348623157e308)
+            lam = 10.0 ** rng.uniform(150.0, 154.12)
+            expect = float(mpmath.exp(-(mpmath.mpf(lam) ** 2 / (4 * mpmath.mpf(rho)))))
+            assert loss_tail_bound(0.0, rho, lam) == pytest.approx(expect, rel=1e-14), (rho, lam)
+
     def test_loss_tail_bound_keeps_its_bits_where_lambda_squared_is_finite(self):
         rng = random.Random(1923)
         for _ in range(3000):
-            # Half the draws have 4 rho beyond the floats.
-            rho = rng.choice([10.0 ** rng.uniform(-300.0, 308.25), rng.uniform(4.5e307, 1.7976931348623157e308)])
+            # Half the draws have rho near the top, where 4 rho is still finite.
+            rho = rng.choice([10.0 ** rng.uniform(-300.0, 307.65), rng.uniform(1e307, 4.49e307)])
             lam = rng.choice([0.0, 10.0 ** rng.uniform(-300.0, 154.12), 10.0 ** rng.uniform(153.0, 154.12)])
+            assert 4.0 * rho < math.inf
             if lam * lam < math.inf:
                 expect = math.exp(-(lam * lam / (4.0 * rho)))
                 assert loss_tail_bound(0.0, rho, lam).hex() == expect.hex(), (rho, lam)

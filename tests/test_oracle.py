@@ -28,7 +28,7 @@ from cdpacct import (
     zcdp_to_dp_refined,
     zcdp_to_dp_simple,
 )
-from cdpacct.oracle import _SQRT2, _erfcx, _log_upper_tail
+from cdpacct.oracle import PLD_HALF_WIDTH_SIGMAS, _SQRT2, _erfcx, _log_upper_tail
 from conftest import random_dist
 
 
@@ -163,6 +163,16 @@ class TestDeltaExactGaussian:
             exact = delta_exact_gaussian(eta, eps)
             assert abs(est - exact) <= 3.0 * se
 
+    @pytest.mark.parametrize("eta, eps", [(0.5, math.nan), (math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0)])
+    def test_monte_carlo_refuses_bad_input(self, eta, eps):
+        with pytest.raises(ValueError):
+            delta_gaussian_mc(eta, eps, 10**4, seed=1)
+
+    def test_monte_carlo_is_seeded(self):
+        a = delta_gaussian_mc(0.5, 1.0, 10**4, seed=3)
+        assert a == delta_gaussian_mc(0.5, 1.0, 10**4, seed=3)
+        assert a != delta_gaussian_mc(0.5, 1.0, 10**4, seed=4)
+
     def test_matches_discretized_pld(self):
         for eta in (0.125, 0.5, 2.0):
             pld = gaussian_pld_discretized(eta, points=4000)
@@ -268,6 +278,14 @@ class TestDeltaExactGaussian:
 
 
 class TestDiscretizedPld:
+    def test_window_spans_the_module_constant(self):
+        eta = 0.5
+        pld = gaussian_pld_discretized(eta, points=100)
+        w = PLD_HALF_WIDTH_SIGMAS * math.sqrt(2.0 * eta)
+        assert PLD_HALF_WIDTH_SIGMAS == 12.0
+        assert pld.losses[-1] == eta + w
+        assert pld.losses[0] == pytest.approx(eta - w + 2.0 * w / 100, rel=1e-15)
+
     def test_probs_sum_to_one(self):
         pld = gaussian_pld_discretized(0.5)
         assert math.fsum(pld.probs) == pytest.approx(1.0, abs=1e-9)

@@ -1,8 +1,8 @@
-"""Start-up: only the verify suites and the numpy oracles load numpy, and nothing needs scipy.
+"""Start-up: the package runs on the standard library alone.
 
-Every other command, exact-Gaussian curves and delta_exact_gaussian included,
-runs on the standard library.  The numpy oracles are the quadrature, Monte
-Carlo and discretized-PLD ones.
+No command, verify suite or oracle loads numpy or scipy, and with both
+blocked every verify suite and every public oracle still runs.  The tests
+themselves keep numpy as a reference.
 """
 
 import json
@@ -52,20 +52,26 @@ print(json.dumps(sorted(m for m in ("numpy", "scipy") if m in sys.modules)))
 """
 
 
-# Blocks scipy, then runs the appendix suite, every oracle that once called
-# scipy and both Monte Carlo estimators.
-NO_SCIPY_PROBE = """
+# Blocks numpy and scipy, then runs all six verify suites and every public
+# oracle.
+NO_NUMPY_PROBE = """
 import contextlib, io, sys
-sys.modules["scipy"] = None
+sys.modules["numpy"] = sys.modules["scipy"] = None
 from cdpacct import OutcomeDist, cli, oracle
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["verify", "appendix"]) == 0
+for suite in cli.VERIFY_SUITES:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", suite]) == 0, suite
 assert abs(oracle.gaussian_renyi_quadrature(1.0, 1.0, 2.0) - 1.0) < 1e-8
 assert not oracle.mcdp_gaussian_check(1.0, 0.5).violated
 assert oracle.mcdp_postprocess_violation(1.0, 3.0, 2.0).violated
-assert len(oracle.gaussian_pld_discretized(0.5).losses) == 4000
+assert oracle.hyperbolic_inequality_check(1.0, 0.5)
+pld = oracle.gaussian_pld_discretized(0.5)
+assert len(pld.losses) == 4000
+assert 0.0 < oracle.delta_from_pld(pld, 1.0) < 1.0
+assert 0.0 < oracle.delta_exact_gaussian(0.5, 1.0) < 1.0
 assert 0.0 < oracle.delta_gaussian_mc(0.5, 1.0, 10**4, seed=1)[0] < 1.0
 p, q = OutcomeDist((0, 1), (0.75, 0.25)), OutcomeDist((0, 1), (0.25, 0.75))
+assert oracle.pinsker_check(p, q, {0: 1.0, 1: -1.0}).plain_ok
 assert not oracle.mc_divergence_estimate(p, q, 2.0, 10**4, seed=1).support_violation
 """
 
@@ -91,8 +97,8 @@ def test_cli_commands_load_neither_numpy_nor_scipy(tmp_path):
     assert json.loads(run_probe(PROBE, str(ledger))) == []
 
 
-def test_oracles_and_verify_suites_run_without_scipy():
-    run_probe(NO_SCIPY_PROBE)
+def test_oracles_and_verify_suites_run_without_numpy_or_scipy():
+    run_probe(NO_NUMPY_PROBE)
 
 
 def test_public_names_unchanged_and_all_resolve():
