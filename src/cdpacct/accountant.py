@@ -3,7 +3,9 @@
 All operations are pure parameter arithmetic: composition and group scaling
 of concentrated-DP budgets, and conversions between pure DP, approximate
 DP, (approximate) zCDP, and the mean-concentrated variant.  Delta values
-are probabilities and stay in [0, 1] after every closed form.
+are probabilities and stay in [0, 1] after every closed form.  The exact
+Gaussian delta curve and the curve grid live here too, so that every curve
+method runs on this module alone; the oracle module re-exports both.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
-
-from .oracle import delta_exact_gaussian
 
 
 # The value types are frozen dataclasses whose __init__ checks the arguments
@@ -235,8 +235,9 @@ def zcdp_to_dp_refined(params: ZcdpParams, eps: float) -> float:
     floating point too, so only the second and fourth can win, and the
     product lies in [0, 1] unclamped.  The second, 2/sqrt(4/(pi rho)), is
     never below the fourth in exact arithmetic; it wins by one rounding
-    where rho b^2 is below about 1e-32.  The plain budget's delta_approx
-    must be 0; approximate budgets go through approx_zcdp_to_dp.
+    where rho b^2 is below about 1e-32.  At eps = inf delta is 0, which
+    the kernel would make NaN where 2 rho overflows.  The plain budget's
+    delta_approx must be 0; approximate budgets go through approx_zcdp_to_dp.
     """
     if params.delta_approx != 0.0:
         raise ValueError("refined conversion applies to plain budgets only")
@@ -244,7 +245,7 @@ def zcdp_to_dp_refined(params: ZcdpParams, eps: float) -> float:
         raise ValueError("refined conversion needs rho > 0")
     if not eps >= params.xi + params.rho:
         raise ValueError("refined conversion needs eps >= xi + rho")
-    return _refined(params.xi, params.rho, eps)
+    return 0.0 if eps == math.inf else _refined(params.xi, params.rho, eps)
 
 
 def _refined(xi: float, rho: float, eps: float) -> float:
@@ -343,6 +344,15 @@ def eps_for_delta(params: ZcdpParams, delta: float) -> float:
 
 
 CURVE_METHODS = ("simple", "refined", "exact_gaussian")
+
+
+def grid_points(lo: float, hi: float, n: int) -> list[float]:
+    """The points of np.linspace(lo, hi, n), unless (hi - lo) / (n - 1) underflows to 0.
+
+    The grid of every CLI curve and of the oracles' quadratures.
+    """
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
 
 
 def delta_of_eps(params: ZcdpParams, eps: float, method: str = "refined") -> float:
@@ -506,6 +516,78 @@ def _search(
         else:
             bad = mid
     return good
+
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT_PI = math.sqrt(math.pi)
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: c - (c - x) with c = x * _SPLIT is x's top 26 bits
+
+
+def _erfcx(x: float) -> float:
+    """e^(x^2) erfc(x) for x >= 0, to a few ulps.
+
+    Below 26, erfc(x) is still a normal float and e^(x^2) is taken as
+    e^(hi^2) e^((x - hi)(x + hi)) with hi the top 26 bits of x, so hi^2 is
+    exact and x^2 loses nothing to rounding.  From 26 up, the asymptotic
+    series 1/(x sqrt(pi)) sum_k (-1)^k (2k-1)!!/(2x^2)^k, summed until a
+    term drops below 1e-17: 9 terms at x = 26, 2 from x = 1e9 up.
+    """
+    if x < 26.0:
+        hi = x * _SPLIT
+        hi -= hi - x
+        return math.exp(hi * hi) * math.exp((x - hi) * (x + hi)) * math.erfc(x)
+    t = -0.5 / (x * x)
+    term = acc = 1.0
+    k = 1
+    while abs(term) > 1e-17:
+        term *= (2 * k - 1) * t
+        acc += term
+        k += 1
+    return acc / (x * _SQRT_PI)
+
+
+def delta_exact_gaussian(eta: float, eps: float) -> float:
+    """Exact delta(eps) when the privacy loss is Normal(eta, 2 eta).
+
+    Closed form of the tail functional: with s = sqrt(2 eta),
+    v = (eps - eta)/s and u = (eps + eta)/s,
+
+        delta(eps) = P[N > v] - e^eps * P[N > u]
+
+    where the second term uses E[e^(-Z); Z > eps] = P[N > u] (complete the
+    square; the factor e^(-eta + s^2/2) is exactly 1 here).  Both tails are
+    erfc(./sqrt 2)/2 from math.erfc.  Since u^2/2 = v^2/2 + eps, for u >= 0
+    the second term is e^(-v^2/2) _erfcx(u/sqrt 2)/2, and for v >= 0 the
+    first is e^(-v^2/2) _erfcx(v/sqrt 2)/2: the two share one rounded factor
+    and no intermediate grows with eta or eps.  Against 60-digit arithmetic,
+    with delta down to 1e-300, the relative error stays below 1e-11 for eta
+    from 1e-4 to 1e30 and below 2e-14/sqrt(eta) from 1e-8 to 1e-4: the two
+    tails are both near 1/2 and differ by O(sqrt(eta)).  At eta = 1e-24 it
+    reaches 1e-2, so the "exact_gaussian" curve refuses rho below 1e-8
+    (MIN_EXACT_RHO).  It is also the oracle module's exact Gaussian curve,
+    against which the refined conversion is checked.
+    Where 2 eta overflows, s is sqrt(2) sqrt(eta).  A difference outside
+    (0, 1) is clamped to [0, 1]; it is NaN only for a NaN eps or an
+    infinite eta, and both raise ValueError.
+    """
+    if not eta > 0.0:
+        raise ValueError("eta must be positive")
+    s = math.sqrt(2.0 * eta)
+    if s == math.inf:  # 2 eta overflows, or eta is inf
+        s = _SQRT2 * math.sqrt(eta)
+    v, u = (eps - eta) / s, (eps + eta) / s
+    if u < 0.0:  # eps < -eta: e^eps is below 1 and the tail above 1/2
+        first, second = 0.5 * math.erfc(v / _SQRT2), math.exp(eps) * 0.5 * math.erfc(u / _SQRT2)
+    else:
+        scale = 0.5 * math.exp(-0.5 * v * v)
+        first = scale * _erfcx(v / _SQRT2) if v >= 0.0 else 0.5 * math.erfc(v / _SQRT2)
+        second = scale * _erfcx(u / _SQRT2)
+    delta = first - second
+    if 0.0 < delta < 1.0:
+        return delta
+    if delta != delta:  # only a NaN eps or an infinite eta makes NaN
+        raise ValueError("eta must be finite" if eta == math.inf else "eps must be a number, got nan")
+    return 1.0 if delta >= 1.0 else 0.0
 
 
 # Least rho for "exact_gaussian".  Its two tails, both near 1/2, differ by

@@ -14,7 +14,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or schema error,
 scientific notation, so identical inputs give byte-identical files.
 
 main parses a command's argv with that command's parser alone, and a
-delta_of_eps curve takes one accountant call for its whole grid.
+delta_of_eps curve takes one accountant call for its whole grid.  The
+library modules imported below run on first use (see the package
+docstring), so a command runs only the modules it calls.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NoReturn
 
 from . import accountant as acct
 from . import bounds, mechanisms
-from .oracle import grid_points
+from .accountant import grid_points
 
 EXIT_OK = 0
 EXIT_VERIFY = 1

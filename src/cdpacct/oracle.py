@@ -6,7 +6,9 @@ evaluated from the tail functional, and the counterexample quantities are
 assembled from first principles with high-precision normal tails.
 Every normal tail comes from math.erfc or _erfcx, a scaled erfc of its own,
 and the Monte Carlo estimators draw from random.Random(seed), so every
-oracle needs only the standard library.
+oracle needs only the standard library.  delta_exact_gaussian, _erfcx and
+grid_points are the accountant's, which runs the exact Gaussian curve
+without loading this module; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
+from .accountant import _SQRT2, _erfcx, delta_exact_gaussian, grid_points
 from .divergence import OutcomeDist, PrivacyLossDist, aligned_probs, renyi_divergence
 
 
@@ -31,12 +34,6 @@ class QuadratureSpec:
             raise ValueError("half_width_sigmas must be at least 8")
         if not self.abs_tol > 0.0:
             raise ValueError("abs_tol must be positive")
-
-
-def grid_points(lo: float, hi: float, n: int) -> list[float]:
-    """The points of np.linspace(lo, hi, n), unless (hi - lo) / (n - 1) underflows to 0."""
-    step = (hi - lo) / (n - 1)
-    return [i * step + lo for i in range(n - 1)] + [hi]
 
 
 def _log_simpson(log_f, lo: float, hi: float, panels: int) -> float:
@@ -77,8 +74,10 @@ def gaussian_renyi_quadrature(
     Simpson, doubling the panel count until two successive divergence
     values agree within abs_tol.  The integrand is a scaled Gaussian
     centered at (1-alpha)*shift, so the window covers that center as well
-    as both means.
+    as both means.  A NaN or infinite shift raises ValueError.
     """
+    if not -math.inf < shift < math.inf:
+        raise ValueError("shift must be finite")
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     if not alpha > 1.0:
@@ -114,76 +113,6 @@ def delta_from_pld(z: PrivacyLossDist, eps: float) -> float:
             acc.append(prob * -math.expm1(eps - loss))
     total = math.fsum(acc) if acc else 0.0
     return min(1.0, max(0.0, total))
-
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_PI = math.sqrt(math.pi)
-_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: c - (c - x) with c = x * _SPLIT is x's top 26 bits
-
-
-def _erfcx(x: float) -> float:
-    """e^(x^2) erfc(x) for x >= 0, to a few ulps.
-
-    Below 26, erfc(x) is still a normal float and e^(x^2) is taken as
-    e^(hi^2) e^((x - hi)(x + hi)) with hi the top 26 bits of x, so hi^2 is
-    exact and x^2 loses nothing to rounding.  From 26 up, the asymptotic
-    series 1/(x sqrt(pi)) sum_k (-1)^k (2k-1)!!/(2x^2)^k, summed until a
-    term drops below 1e-17: 9 terms at x = 26, 2 from x = 1e9 up.
-    """
-    if x < 26.0:
-        hi = x * _SPLIT
-        hi -= hi - x
-        return math.exp(hi * hi) * math.exp((x - hi) * (x + hi)) * math.erfc(x)
-    t = -0.5 / (x * x)
-    term = acc = 1.0
-    k = 1
-    while abs(term) > 1e-17:
-        term *= (2 * k - 1) * t
-        acc += term
-        k += 1
-    return acc / (x * _SQRT_PI)
-
-
-def delta_exact_gaussian(eta: float, eps: float) -> float:
-    """Exact delta(eps) when the privacy loss is Normal(eta, 2 eta).
-
-    Closed form of the tail functional: with s = sqrt(2 eta),
-    v = (eps - eta)/s and u = (eps + eta)/s,
-
-        delta(eps) = P[N > v] - e^eps * P[N > u]
-
-    where the second term uses E[e^(-Z); Z > eps] = P[N > u] (complete the
-    square; the factor e^(-eta + s^2/2) is exactly 1 here).  Both tails are
-    erfc(./sqrt 2)/2 from math.erfc.  Since u^2/2 = v^2/2 + eps, for u >= 0
-    the second term is e^(-v^2/2) _erfcx(u/sqrt 2)/2, and for v >= 0 the
-    first is e^(-v^2/2) _erfcx(v/sqrt 2)/2: the two share one rounded factor
-    and no intermediate grows with eta or eps.  Against 60-digit arithmetic,
-    with delta down to 1e-300, the relative error stays below 1e-11 for eta
-    from 1e-4 to 1e30 and below 2e-14/sqrt(eta) from 1e-8 to 1e-4: the two
-    tails are both near 1/2 and differ by O(sqrt(eta)).  At eta = 1e-24 it
-    reaches 1e-2, so the accountant refuses rho below 1e-8 (MIN_EXACT_RHO).
-    Where 2 eta overflows, s is sqrt(2) sqrt(eta).  A difference outside
-    (0, 1) is clamped to [0, 1]; it is NaN only for a NaN eps or an
-    infinite eta, and both raise ValueError.
-    """
-    if not eta > 0.0:
-        raise ValueError("eta must be positive")
-    s = math.sqrt(2.0 * eta)
-    if s == math.inf:  # 2 eta overflows, or eta is inf
-        s = _SQRT2 * math.sqrt(eta)
-    v, u = (eps - eta) / s, (eps + eta) / s
-    if u < 0.0:  # eps < -eta: e^eps is below 1 and the tail above 1/2
-        first, second = 0.5 * math.erfc(v / _SQRT2), math.exp(eps) * 0.5 * math.erfc(u / _SQRT2)
-    else:
-        scale = 0.5 * math.exp(-0.5 * v * v)
-        first = scale * _erfcx(v / _SQRT2) if v >= 0.0 else 0.5 * math.erfc(v / _SQRT2)
-        second = scale * _erfcx(u / _SQRT2)
-    delta = first - second
-    if 0.0 < delta < 1.0:
-        return delta
-    if delta != delta:  # only a NaN eps or an infinite eta makes NaN
-        raise ValueError("eta must be finite" if eta == math.inf else "eps must be a number, got nan")
-    return 1.0 if delta >= 1.0 else 0.0
 
 
 def delta_gaussian_mc(eta: float, eps: float, n_samples: int, seed: int) -> tuple[float, float]:

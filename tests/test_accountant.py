@@ -451,6 +451,12 @@ class TestDpConversions:
         with pytest.raises(ValueError):
             zcdp_to_dp_refined(ZcdpParams(0.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize("rho", [1e-300, 0.5, 1e300, 1.7e308])
+    def test_refined_at_infinite_eps_is_zero(self, rho):
+        # Where 2 rho overflows, the kernel's d / (2 rho) is inf / inf.
+        assert zcdp_to_dp_refined(ZcdpParams(0.0, rho), math.inf) == 0.0
+        assert zcdp_to_dp_refined(ZcdpParams(1.0, rho), math.inf) == 0.0
+
     def test_kernel_matches_the_four_branch_minimum(self):
         rng = random.Random(1201)
         points = []

@@ -57,6 +57,13 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             gaussian_renyi_quadrature(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_shift_before_integrating(self, shift):
+        # Without the check the panels double to 2^21 before the
+        # quadrature gives up with ArithmeticError.
+        with pytest.raises(ValueError, match="shift must be finite"):
+            gaussian_renyi_quadrature(shift, 1.0, 2.0)
+
 
 class TestDeltaFromPld:
     def test_equals_tv_at_zero_eps(self, rng):

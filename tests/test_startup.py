@@ -1,8 +1,9 @@
-"""Start-up: the package runs on the standard library alone.
+"""Start-up: the package runs on the standard library alone, and lazily.
 
 No command, verify suite or oracle loads numpy or scipy, and with both
 blocked every verify suite and every public oracle still runs.  The tests
-themselves keep numpy as a reference.
+themselves keep numpy as a reference.  `import cdpacct` runs none of the
+library modules, and each command runs only the modules it uses.
 """
 
 import json
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cdpacct
 from cdpacct import cli, verify
@@ -76,6 +79,57 @@ assert not oracle.mc_divergence_estimate(p, q, 2.0, 10**4, seed=1).support_viola
 """
 
 
+# Defines ran(): the cdpacct modules whose body has run.  A lazily registered
+# module that has not run is still a LazyLoader module; type() reads none of
+# its attributes, so it does not make the module run.
+RAN = """
+import contextlib, io, json, sys, types
+def ran():
+    return sorted(n.removeprefix("cdpacct.") for n, m in sys.modules.items()
+                  if n.startswith("cdpacct.") and type(m) is types.ModuleType)
+"""
+
+# Prints ran() after a bare import, then checks what a tracer that wraps
+# functions through sys.modules relies on: every library module is there,
+# and an attribute of each is the function the package exports.
+IMPORT_PROBE = RAN + """
+import cdpacct
+print(json.dumps(ran()))
+modules = ("accountant", "bounds", "divergence", "mechanisms", "oracle")
+assert all(f"cdpacct.{m}" in sys.modules for m in modules)
+for module, name in (("accountant", "compose"), ("accountant", "eps_for_delta"),
+                     ("bounds", "certify_zcdp"), ("divergence", "renyi_divergence"),
+                     ("mechanisms", "calibrate_sigma_for_dp"), ("oracle", "delta_exact_gaussian")):
+    fn = getattr(sys.modules[f"cdpacct.{module}"], name)
+    assert type(fn) is types.FunctionType and fn is getattr(cdpacct, name), (module, name)
+"""
+
+# Runs convert, compose, group and two exact-Gaussian curves through
+# cli.main, then calibrate, then mi-demo, and prints ran() after each step.
+CLI_PROBE = RAN + """
+from cdpacct import cli
+exact = ["--ledger", sys.argv[1], "--method", "exact_gaussian"]
+steps = ([["convert", "--rho", "0.5", "--delta", "1e-6"], ["compose", "--ledger", sys.argv[1]],
+          ["group", "--rho", "0.1", "--k", "4"], ["curve", "delta_of_eps", *exact, "--grid", "0:3:50"],
+          ["curve", "eps_of_delta", *exact, "--grid", "1e-9:1e-2:30"]],
+         [["calibrate", "--sensitivity", "1", "--eps", "1", "--delta", "1e-6"]],
+         [["mi-demo"]])
+for step in steps:
+    for argv in step:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    print(json.dumps(ran()))
+"""
+
+# One Renyi divergence through the divergence module alone.
+DIVERGENCE_PROBE = RAN + """
+from cdpacct import divergence
+p, q = divergence.OutcomeDist((0, 1), (0.75, 0.25)), divergence.OutcomeDist((0, 1), (0.25, 0.75))
+assert divergence.renyi_divergence(p, q, 2.0) > 0.0
+print(json.dumps(ran()))
+"""
+
+
 def run_probe(probe, *args):
     src = str(Path(cdpacct.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -90,11 +144,36 @@ def run_probe(probe, *args):
     return proc.stdout
 
 
-def test_cli_commands_load_neither_numpy_nor_scipy(tmp_path):
-    ledger = tmp_path / "ledger.json"
+@pytest.fixture
+def ledger(tmp_path):
+    path = tmp_path / "ledger.json"
     entry = {"kind": "gaussian", "params": {"sensitivity": 1.0, "sigma": 2.0}}
-    ledger.write_text(json.dumps({"entries": [entry]}))
-    assert json.loads(run_probe(PROBE, str(ledger))) == []
+    path.write_text(json.dumps({"entries": [entry]}))
+    return str(path)
+
+
+def test_cli_commands_load_neither_numpy_nor_scipy(ledger):
+    assert json.loads(run_probe(PROBE, ledger)) == []
+
+
+def ran_after_each_step(probe, *args):
+    return [json.loads(line) for line in run_probe(probe, *args).splitlines()]
+
+
+def test_import_runs_no_library_module_but_registers_each():
+    assert ran_after_each_step(IMPORT_PROBE) == [[]]
+
+
+def test_each_command_runs_only_the_modules_it_uses(ledger):
+    assert ran_after_each_step(CLI_PROBE, ledger) == [
+        ["accountant", "cli"],
+        ["accountant", "cli", "divergence", "mechanisms"],
+        ["accountant", "bounds", "cli", "divergence", "mechanisms"],
+    ]
+
+
+def test_a_divergence_runs_only_the_divergence_module():
+    assert ran_after_each_step(DIVERGENCE_PROBE) == [["divergence"]]
 
 
 def test_oracles_and_verify_suites_run_without_numpy_or_scipy():
