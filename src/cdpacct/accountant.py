@@ -236,8 +236,10 @@ def zcdp_to_dp_refined(params: ZcdpParams, eps: float) -> float:
     product lies in [0, 1] unclamped.  The second, 2/sqrt(4/(pi rho)), is
     never below the fourth in exact arithmetic; it wins by one rounding
     where rho b^2 is below about 1e-32.  At eps = inf delta is 0, which
-    the kernel would make NaN where 2 rho overflows.  The plain budget's
-    delta_approx must be 0; approximate budgets go through approx_zcdp_to_dp.
+    the kernel would make NaN where 2 rho overflows, and where one of its
+    squares overflows the form of _delta_past_squares gives delta.  The
+    plain budget's delta_approx must be 0; approximate budgets go through
+    approx_zcdp_to_dp.
     """
     if params.delta_approx != 0.0:
         raise ValueError("refined conversion applies to plain budgets only")
@@ -245,7 +247,7 @@ def zcdp_to_dp_refined(params: ZcdpParams, eps: float) -> float:
         raise ValueError("refined conversion needs rho > 0")
     if not eps >= params.xi + params.rho:
         raise ValueError("refined conversion needs eps >= xi + rho")
-    return 0.0 if eps == math.inf else _refined(params.xi, params.rho, eps)
+    return 0.0 if eps == math.inf else _delta_past_squares(params.xi, params.rho, eps, True)
 
 
 def _refined(xi: float, rho: float, eps: float) -> float:
@@ -256,6 +258,30 @@ def _refined(xi: float, rho: float, eps: float) -> float:
     root = math.sqrt(pi_rho)
     fourth = 2.0 / (1.0 + a + math.sqrt((1.0 + a) ** 2 + 4.0 / pi_rho))
     return _simple_tail(d, rho) * (fourth if fourth < root else root)
+
+
+def _delta_past_squares(xi: float, rho: float, eps: float, refined: bool) -> float:
+    """The refined (or simple) delta' at finite eps >= xi + rho, also where a kernel's square overflows.
+
+    The kernel's value wherever it has one.  Where d**2 overflows, the
+    exponent is taken as (d / (2 sqrt(rho)))**2, and where (1 + a)**2 does,
+    the fourth factor's root as hypot(1 + a, 2 / sqrt(pi rho)).  The eps and
+    rho searches call the kernels themselves and still raise OverflowError
+    at a step where a square overflows.
+    """
+    d = eps - xi - rho
+    try:
+        return _refined(xi, rho, eps) if refined else _simple_tail(d, rho)
+    except OverflowError:
+        pass
+    half = 0.5 * d / math.sqrt(rho)
+    tail = math.exp(-(half * half))
+    if not refined:
+        return tail
+    a = d / (2.0 * rho)
+    root = _SQRT_PI * math.sqrt(rho)  # pi rho may be subnormal here
+    fourth = 2.0 / (1.0 + a + math.hypot(1.0 + a, 2.0 / root))
+    return tail * (fourth if fourth < root else root)
 
 
 def pure_dp_to_zcdp(eps: float) -> tuple[ZcdpParams, ZcdpParams]:
@@ -322,16 +348,20 @@ def approx_zcdp_to_dp(params: ZcdpParams, eps: float) -> DpPoint:
     """(eps, delta) point implied by a delta_approx-approximate budget.
 
     With rho = 0 the guarantee is already (xi, delta_approx)-DP and the
-    requested eps is ignored.  Otherwise the refined conversion handles the
-    non-catastrophic branch and the failure masses combine as
-    delta_approx + (1 - delta_approx) * delta'.
+    requested eps is ignored.  Otherwise the refined conversion, 0 at
+    eps = inf, handles the non-catastrophic branch and the failure masses
+    combine as delta_approx + (1 - delta_approx) * delta'.
     """
     xi, rho, da = params.xi, params.rho, params.delta_approx
     if rho == 0.0:
         return DpPoint(xi, da)
     if not eps >= xi + rho:
         raise ValueError("refined conversion needs eps >= xi + rho")
-    delta = da + (1.0 - da) * _refined(xi, rho, eps)
+    try:
+        prime = 0.0 if eps == math.inf else _refined(xi, rho, eps)
+    except OverflowError:  # a square in the kernel is past the floats
+        prime = _delta_past_squares(xi, rho, eps, True)
+    delta = da + (1.0 - da) * prime
     return DpPoint(eps, delta if delta < 1.0 else 1.0)
 
 
@@ -363,9 +393,11 @@ def delta_of_eps(params: ZcdpParams, eps: float, method: str = "refined") -> flo
 def delta_of_eps_grid(params: ZcdpParams, grid: Sequence[float], method: str = "refined") -> list[float]:
     """delta at each eps of grid by one of CURVE_METHODS, as delta_approx + (1 - delta_approx) * delta'.
 
-    delta' is 1 below eps = xi + rho for the closed forms; "exact_gaussian"
-    is the exact curve of a Gaussian mechanism with this rho (Balle & Wang
-    2018) and raises ValueError unless xi = 0 and rho >= MIN_EXACT_RHO.
+    delta' is 1 below eps = xi + rho and 0 at eps = inf for the closed
+    forms, which take _delta_past_squares where a kernel's square
+    overflows; "exact_gaussian" is the exact curve of a Gaussian mechanism
+    with this rho (Balle & Wang 2018) and raises ValueError unless xi = 0
+    and rho >= MIN_EXACT_RHO.
     A NaN point, then the budget and the method, are refused before any
     point is evaluated; then one loop runs the method's formula.
     """
@@ -379,10 +411,19 @@ def delta_of_eps_grid(params: ZcdpParams, grid: Sequence[float], method: str = "
         raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
     elif rho == 0.0:
         base = [0.0 if eps >= xi else 1.0 for eps in grid]
-    elif method == "simple":
-        base = [1.0 if eps < edge else _simple_tail(eps - xi - rho, rho) for eps in grid]
     else:
-        base = [1.0 if eps < edge else _refined(xi, rho, eps) for eps in grid]
+        refined = method == "refined"
+        try:
+            base = [
+                1.0 if eps < edge else 0.0 if eps == math.inf
+                else _refined(xi, rho, eps) if refined else _simple_tail(eps - xi - rho, rho)
+                for eps in grid
+            ]
+        except OverflowError:  # a square in the kernel is past the floats at some point
+            base = [
+                1.0 if eps < edge else 0.0 if eps == math.inf else _delta_past_squares(xi, rho, eps, refined)
+                for eps in grid
+            ]
     return [d if (d := da + keep * b) < 1.0 else 1.0 for b in base]
 
 

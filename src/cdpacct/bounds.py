@@ -135,8 +135,8 @@ def certify_zcdp(
     bound is vacuous there unless rho = 0, in which case alpha = inf is
     checked against xi).
 
-    Each pair's privacy loss is computed in one pass per direction and
-    every order is read from it.  Verdicts and errors come in the same
+    Each pair's masses, their logs and its privacy loss are computed in
+    one log pass per direction, and every order is read from them.  Verdicts and errors come in the same
     order as with one ``renyi_divergence`` call per order: the first
     violated order returns False, and a bad order raises ``ValueError``
     when it is reached.  (``renyi_divergence`` clamps at 0, which cannot

@@ -102,10 +102,14 @@ def aligned_probs(p: OutcomeDist, q: OutcomeDist) -> tuple[float, ...]:
     return tuple(q.probs[index[y]] for y in p.outcomes)
 
 
-def _loss_pairs(p: OutcomeDist, q: OutcomeDist) -> list[tuple[float, float]]:
-    """(p(y), log(p(y)/q(y))) over p's support; the loss is +inf where q(y) = 0."""
+def _loss_pairs(p: OutcomeDist, q: OutcomeDist) -> list[tuple[float, float, float]]:
+    """(p(y), log p(y), log p(y) - log q(y)) over p's support: the one log pass of a pair.
+
+    The loss is +inf where q(y) = 0.  Every order reads log p(y) from here,
+    so a finite order's term log p(y) + (alpha - 1) * loss costs no log.
+    """
     return [
-        (pi, math.inf if qi == 0.0 else math.log(pi) - math.log(qi))
+        (pi, lp := math.log(pi), math.inf if qi == 0.0 else lp - math.log(qi))
         for pi, qi in zip(p.probs, aligned_probs(p, q))
         if pi > 0.0
     ]
@@ -122,20 +126,20 @@ def logsumexp(terms: Sequence[float]) -> float:
     return top + math.log1p(math.fsum([math.exp(t - top) for t in terms] + [-1.0]))
 
 
-def _divergence(pairs: Sequence[tuple[float, float]], order: RenyiOrder) -> ExtendedReal:
-    """Order-alpha divergence of (mass, loss) pairs with positive mass.
+def _divergence(records: Sequence[tuple[float, float, float]], order: RenyiOrder) -> ExtendedReal:
+    """Order-alpha divergence of (mass, log mass, loss) records with positive mass.
 
     E[Z] at alpha = 1, the top loss at alpha = inf, and otherwise the
     log-moment (1/(alpha-1)) * log E[e^((alpha-1) Z)] via log-sum-exp.
     """
     order = _check_order(order)
-    if any(math.isinf(l) for _, l in pairs):
+    if any(math.isinf(l) for _, _, l in records):
         return math.inf
     if order == 1.0:
-        return math.fsum(m * l for m, l in pairs)
+        return math.fsum(m * l for m, _, l in records)
     if math.isinf(order):
-        return max(l for _, l in pairs)
-    terms = [math.log(m) + (order - 1.0) * l for m, l in pairs]
+        return max(l for _, _, l in records)
+    terms = [log_m + (order - 1.0) * l for _, log_m, l in records]
     return logsumexp(terms) / (order - 1.0)
 
 
@@ -200,8 +204,8 @@ def privacy_loss_dist(p: OutcomeDist, q: OutcomeDist) -> PrivacyLossDist:
     Outcomes with p(y) = 0 are omitted; an outcome with p(y) > 0 and
     q(y) = 0 contributes loss +inf.
     """
-    pairs = _loss_pairs(p, q)
-    return PrivacyLossDist(tuple(l for _, l in pairs), tuple(m for m, _ in pairs))
+    records = _loss_pairs(p, q)
+    return PrivacyLossDist(tuple(l for _, _, l in records), tuple(m for m, _, _ in records))
 
 
 def divergence_from_loss(z: PrivacyLossDist, order: RenyiOrder) -> ExtendedReal:
@@ -211,7 +215,8 @@ def divergence_from_loss(z: PrivacyLossDist, order: RenyiOrder) -> ExtendedReal:
     finite alpha > 1, E[Z] at alpha = 1, and the top of the support at
     alpha = inf.  Agrees with renyi_divergence on the generating pair.
     """
-    return _divergence([(pr, l) for l, pr in zip(z.losses, z.probs) if pr > 0.0], order)
+    records = [(pr, math.log(pr), l) for l, pr in zip(z.losses, z.probs) if pr > 0.0]
+    return _divergence(records, order)
 
 
 def pushforward(p: OutcomeDist, fn: Callable[[Hashable], Hashable] | Mapping) -> OutcomeDist:

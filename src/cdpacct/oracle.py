@@ -50,13 +50,17 @@ def _log_simpson(log_f, lo: float, hi: float, panels: int) -> float:
     return top + math.log(total) + math.log(h / 3.0)
 
 
+# The finest grid _converged_log_simpson tries before it gives up.
+_MAX_PANELS = 2**21
+
+
 def _converged_log_simpson(
     log_f, lo: float, hi: float, abs_tol: float, divisor: float = 1.0
 ) -> float:
     """_log_simpson / divisor, doubling the panels from 64 until two successive values agree."""
     panels = 64
     prev = _log_simpson(log_f, lo, hi, panels) / divisor
-    while panels <= 2**20:
+    while panels < _MAX_PANELS:
         panels *= 2
         cur = _log_simpson(log_f, lo, hi, panels) / divisor
         if abs(cur - prev) <= abs_tol:
@@ -74,7 +78,9 @@ def gaussian_renyi_quadrature(
     Simpson, doubling the panel count until two successive divergence
     values agree within abs_tol.  The integrand is a scaled Gaussian
     centered at (1-alpha)*shift, so the window covers that center as well
-    as both means.  A NaN or infinite shift raises ValueError.
+    as both means.  A NaN or infinite shift raises ValueError, and so does
+    a window wider than 2^21 standard deviations: even the finest grid,
+    2^21 panels, would have panels wider than the integrand's sigma.
     """
     if not -math.inf < shift < math.inf:
         raise ValueError("shift must be finite")
@@ -94,6 +100,8 @@ def gaussian_renyi_quadrature(
     w = spec.half_width_sigmas * sigma
     lo = min(0.0, shift, center) - w
     hi = max(0.0, shift, center) + w
+    if not (hi - lo) / sigma <= _MAX_PANELS:
+        raise ValueError(f"shift {shift!r} needs a window wider than 2^21 standard deviations")
     return _converged_log_simpson(log_f, lo, hi, spec.abs_tol, alpha - 1.0)
 
 

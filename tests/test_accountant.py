@@ -9,6 +9,7 @@ import time
 from collections.abc import Mapping
 from types import MappingProxyType
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,6 +430,15 @@ def four_branch_refined(xi, rho, eps):
     return min(1.0, max(0.0, lead * min(branches(xi, rho, eps))))
 
 
+def mp_refined(xi, rho, eps):
+    """The four-branch refined delta in 50-digit arithmetic, at the kernel's float d = eps - xi - rho."""
+    with mpmath.workdps(50):
+        d, rho = mpmath.mpf(eps - xi - rho), mpmath.mpf(rho)
+        b = 1 + d / (2 * rho)
+        fourth = 2 / (b + mpmath.sqrt(b * b + 4 / (mpmath.pi * rho)))
+        return float(mpmath.exp(-d * d / (4 * rho)) * min(1, mpmath.sqrt(mpmath.pi * rho), 1 / b, fourth))
+
+
 class TestDpConversions:
     def test_simple_eps_frozen_example(self):
         pt = zcdp_to_dp_simple(ZcdpParams(0.0, 0.5), math.exp(-1.0))
@@ -476,6 +486,40 @@ class TestDpConversions:
         assert sum(b[1] < b[3] for b in factors) > 1_000
         assert sum(b[3] < b[1] for b in factors) > 10_000
         assert sum(b[3] == b[2] for b in factors) > 1_000
+
+    def test_delta_past_the_squares_matches_mpmath(self):
+        # Near the normal floor of rho, with a = d / (2 rho) from 1.35e154 up,
+        # (1 + a)^2 leaves the floats and the kernel raises.  With
+        # rho a^2 = d^2 / (4 rho) below 300, delta is still a positive float.
+        rng = random.Random(2202)
+        points = []
+        for _ in range(2000):
+            rho = 10.0 ** rng.uniform(-307.6, -306.5)
+            a = 10.0 ** rng.uniform(math.log10(1.35e154), 0.5 * (math.log10(300.0) - math.log10(rho)))
+            points.append((0.0, rho, rho + 2.0 * rho * a))
+        assert all(outcome(accountant._refined, *p) is OverflowError for p in points)
+        for xi, rho, eps in points:
+            want = mp_refined(xi, rho, eps)
+            assert want > 0.0
+            assert accountant._delta_past_squares(xi, rho, eps, True) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert zcdp_to_dp_refined(ZcdpParams(xi, rho), eps) == accountant._delta_past_squares(xi, rho, eps, True)
+
+    def test_delta_past_the_squares_keeps_the_kernels_bits(self):
+        rng = random.Random(2203)
+        for _ in range(5_000):
+            xi = rng.choice([0.0, rng.uniform(0.0, 1.0)])
+            rho = 10.0 ** rng.uniform(-150, 8)
+            eps = xi + rho + 10.0 ** rng.uniform(-8, 2) * math.sqrt(rho)
+            assert accountant._delta_past_squares(xi, rho, eps, True) == accountant._refined(xi, rho, eps)
+            d = eps - xi - rho
+            assert accountant._delta_past_squares(xi, rho, eps, False) == accountant._simple_tail(d, rho)
+
+    def test_delta_is_zero_where_the_squares_overflow(self):
+        # The convert --rho 0.5 --eps 1e160 example: both deltas underflow to 0.
+        for method in ("simple", "refined"):
+            assert delta_of_eps(ZcdpParams(0.0, 0.5), 1e160, method) == 0.0
+        assert zcdp_to_dp_refined(ZcdpParams(0.0, 0.5), 1e160) == 0.0
+        assert approx_zcdp_to_dp(ZcdpParams(0.0, 0.5, 1e-9), 1e160) == DpPoint(1e160, 1e-9)
 
     def test_refined_decreasing_in_eps(self):
         params = ZcdpParams(0.1, 0.4)
@@ -798,7 +842,10 @@ class TestCurveEvaluators:
 
 
 def one_point_delta(params, eps, method):
-    """delta_of_eps as one call per point computed it before the grid evaluator: the reference."""
+    """delta_of_eps as one call per point computed it before the grid evaluator: the reference.
+
+    At eps = inf delta' is 0, and where a kernel's square overflows it comes from _delta_past_squares.
+    """
     xi, rho, da = params.xi, params.rho, params.delta_approx
     if math.isnan(eps):
         raise ValueError("eps must be a number, got nan")
@@ -810,10 +857,10 @@ def one_point_delta(params, eps, method):
         base = 0.0 if eps >= xi else 1.0
     elif eps < xi + rho:
         base = 1.0
-    elif method == "simple":
-        base = accountant._simple_tail(eps - xi - rho, rho)
+    elif eps == math.inf:
+        base = 0.0
     else:
-        base = accountant._refined(xi, rho, eps)
+        base = accountant._delta_past_squares(xi, rho, eps, method == "refined")
     return min(1.0, da + (1.0 - da) * base)
 
 
@@ -848,6 +895,22 @@ class TestDeltaOfEpsGrid:
         got = delta_of_eps_grid(params, grid, "exact_gaussian")
         assert bits(got) == bits(one_point_delta(params, eps, "exact_gaussian") for eps in grid)
 
+    @pytest.mark.parametrize("method", ["simple", "refined"])
+    def test_a_huge_budget_matches_one_point_calls_past_the_squares(self, method):
+        params = ZcdpParams(0.0, 5e159)
+        grid = [0.0, 1e159, 5e159, 5.0000000001e159, 1e160, 1e300]
+        got = delta_of_eps_grid(params, grid, method)
+        assert bits(got) == bits(one_point_delta(params, eps, method) for eps in grid)
+        assert got[-2:] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("method", ["simple", "refined"])
+    @pytest.mark.parametrize("rho", [1e-300, 0.5, 1e300, 8.99e307, 1.7e308])
+    def test_delta_at_infinite_eps_is_delta_approx(self, rho, method):
+        # Where 2 rho or 4 rho overflows, the closed forms are inf / inf at eps = inf.
+        for da in (0.0, 1e-9, 0.1):
+            assert delta_of_eps_grid(ZcdpParams(0.0, rho, da), [1.0, math.inf], method)[1] == da
+            assert approx_zcdp_to_dp(ZcdpParams(1.0, rho, da), math.inf) == DpPoint(math.inf, da)
+
     def test_an_empty_grid_is_an_empty_curve(self):
         assert delta_of_eps_grid(ZcdpParams(0.0, 0.5), [], "refined") == []
 
@@ -863,8 +926,10 @@ class TestDeltaOfEpsGrid:
             (ZcdpParams(0.5, 0.5), [0.5, 1.0], "exact_gaussian"),
             (ZcdpParams(0.0, 0.0), [0.5, 1.0], "exact_gaussian"),
             (ZcdpParams(0.0, math.nextafter(MIN_EXACT_RHO, 0.0)), [0.0, 1.0], "exact_gaussian"),
-            (ZcdpParams(0.0, 5e159), [0.0, 5e159, 1e160, 2e160], "simple"),
-            (ZcdpParams(0.0, 5e159), [0.0, 5e159, 1e160, 2e160], "refined"),
+            # The NaN is refused before any point, the one-point calls reach
+            # it after points whose squares overflow.
+            (ZcdpParams(0.0, 5e159), [0.0, 5e159, 1e160, 2e160, math.nan], "simple"),
+            (ZcdpParams(0.0, 5e159), [0.0, 5e159, 1e160, 2e160, math.nan], "refined"),
         ],
     )
     def test_refuses_as_one_point_calls_do(self, params, grid, method):

@@ -767,6 +767,16 @@ class TestOutOfRangeArithmetic:
     def test_convert_overflow(self, capsys):
         self.check(["convert", "--rho", "1e300", "--delta", "1e-6"], capsys)
 
+    def test_convert_delta_where_the_squares_overflow(self, capsys):
+        # (eps - rho)^2 is past the floats, but both deltas are 0.
+        assert main(["convert", "--rho", "0.5", "--eps", "1e160"]) == 0
+        assert capsys.readouterr() == (
+            "zcdp rho=5.00000000000e-01 at eps=1.00000000000e+160\n"
+            "delta (refined): 0.00000000000e+00\n"
+            "delta (simple): 0.00000000000e+00\n",
+            "",
+        )
+
     def test_ledger_overflow(self, tmp_path, capsys):
         path = write_ledger(
             tmp_path,

@@ -423,3 +423,59 @@ class TestLogSumExp:
         labels = tuple(range(len(p)))
         dp, dq = OutcomeDist(labels, p), OutcomeDist(labels, q)
         assert tuple(renyi_divergence(dp, dq, a) for a in (1.0, math.inf, 1e308)) == expected
+
+
+def per_order_divergence(pairs, order):
+    """Order-alpha divergence of (mass, loss) pairs, taking log(mass) again at each order."""
+    if any(math.isinf(l) for _, l in pairs):
+        return math.inf
+    if order == 1.0:
+        return math.fsum(m * l for m, l in pairs)
+    if math.isinf(order):
+        return max(l for _, l in pairs)
+    return logsumexp([math.log(m) + (order - 1.0) * l for m, l in pairs]) / (order - 1.0)
+
+
+def edge_masses(rng, n):
+    """n masses summing to 1: some zero, some subnormal, the rest uniform weights."""
+    masses = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.15:
+            masses.append(0.0)
+        elif kind < 0.3:
+            masses.append(rng.choice([5e-324, 1e-310, 2.5e-320, 1e-300]) * rng.uniform(1.0, 4.0))
+        else:
+            masses.append(rng.uniform(0.01, 1.0))
+    if not any(m > 1e-300 for m in masses):
+        masses[rng.randrange(n)] = 1.0
+    total = math.fsum(masses)
+    return tuple(m / total for m in masses)
+
+
+class TestSharedLogPass:
+    """Every order reads log p(y) from the one loss pass: the values keep the per-order bits."""
+
+    ORDERS = (1.0, 1.0 + 1e-12, *ALPHA_GRID, 1e308, math.inf)
+
+    def test_same_bits_as_a_log_at_every_order(self):
+        rng = random.Random(2201)
+        checked = {"zero_q": 0, "subnormal": 0, "finite": 0}
+        for i in range(600):
+            n = 1 + i % 40
+            labels = tuple(range(n))
+            p, q = OutcomeDist(labels, edge_masses(rng, n)), OutcomeDist(labels, edge_masses(rng, n))
+            pairs = [
+                (pi, math.inf if qi == 0.0 else math.log(pi) - math.log(qi))
+                for pi, qi in zip(p.probs, q.probs)
+                if pi > 0.0
+            ]
+            z = privacy_loss_dist(p, q)
+            z_pairs = [(pr, l) for l, pr in zip(z.losses, z.probs) if pr > 0.0]
+            for order in self.ORDERS:
+                assert renyi_divergence(p, q, order) == max(0.0, per_order_divergence(pairs, order))
+                assert divergence_from_loss(z, order) == per_order_divergence(z_pairs, order)
+            checked["zero_q"] += any(math.isinf(l) for _, l in pairs)
+            checked["subnormal"] += any(0.0 < m < 2.3e-308 for m, _ in pairs)
+            checked["finite"] += math.isfinite(renyi_divergence(p, q, 2.0))
+        assert min(checked.values()) > 50, checked
