@@ -357,10 +357,7 @@ def approx_zcdp_to_dp(params: ZcdpParams, eps: float) -> DpPoint:
         return DpPoint(xi, da)
     if not eps >= xi + rho:
         raise ValueError("refined conversion needs eps >= xi + rho")
-    try:
-        prime = 0.0 if eps == math.inf else _refined(xi, rho, eps)
-    except OverflowError:  # a square in the kernel is past the floats
-        prime = _delta_past_squares(xi, rho, eps, True)
+    prime = 0.0 if eps == math.inf else _delta_past_squares(xi, rho, eps, True)
     delta = da + (1.0 - da) * prime
     return DpPoint(eps, delta if delta < 1.0 else 1.0)
 
@@ -399,7 +396,7 @@ def delta_of_eps_grid(params: ZcdpParams, grid: Sequence[float], method: str = "
     with this rho (Balle & Wang 2018) and raises ValueError unless xi = 0
     and rho >= MIN_EXACT_RHO.
     A NaN point, then the budget and the method, are refused before any
-    point is evaluated; then one loop runs the method's formula.
+    point is evaluated; then one loop evaluates every point.
     """
     xi, rho, da = params.xi, params.rho, params.delta_approx
     edge, keep = xi + rho, 1.0 - da
@@ -413,17 +410,10 @@ def delta_of_eps_grid(params: ZcdpParams, grid: Sequence[float], method: str = "
         base = [0.0 if eps >= xi else 1.0 for eps in grid]
     else:
         refined = method == "refined"
-        try:
-            base = [
-                1.0 if eps < edge else 0.0 if eps == math.inf
-                else _refined(xi, rho, eps) if refined else _simple_tail(eps - xi - rho, rho)
-                for eps in grid
-            ]
-        except OverflowError:  # a square in the kernel is past the floats at some point
-            base = [
-                1.0 if eps < edge else 0.0 if eps == math.inf else _delta_past_squares(xi, rho, eps, refined)
-                for eps in grid
-            ]
+        base = [
+            1.0 if eps < edge else 0.0 if eps == math.inf else _delta_past_squares(xi, rho, eps, refined)
+            for eps in grid
+        ]
     return [d if (d := da + keep * b) < 1.0 else 1.0 for b in base]
 
 

@@ -439,6 +439,12 @@ def mp_refined(xi, rho, eps):
         return float(mpmath.exp(-d * d / (4 * rho)) * min(1, mpmath.sqrt(mpmath.pi * rho), 1 / b, fourth))
 
 
+def mp_simple_tail(d, rho):
+    """The simple delta in 50-digit arithmetic at the kernel's float d."""
+    with mpmath.workdps(50):
+        return float(mpmath.exp(-mpmath.mpf(d) ** 2 / (4 * mpmath.mpf(rho))))
+
+
 class TestDpConversions:
     def test_simple_eps_frozen_example(self):
         pt = zcdp_to_dp_simple(ZcdpParams(0.0, 0.5), math.exp(-1.0))
@@ -842,9 +848,10 @@ class TestCurveEvaluators:
 
 
 def one_point_delta(params, eps, method):
-    """delta_of_eps as one call per point computed it before the grid evaluator: the reference.
+    """delta_of_eps one point at a time from the raw kernels: the reference.
 
-    At eps = inf delta' is 0, and where a kernel's square overflows it comes from _delta_past_squares.
+    At eps = inf delta' is 0, and where a kernel's square overflows it is
+    the 50-digit mpmath value, independent of _delta_past_squares.
     """
     xi, rho, da = params.xi, params.rho, params.delta_approx
     if math.isnan(eps):
@@ -860,7 +867,12 @@ def one_point_delta(params, eps, method):
     elif eps == math.inf:
         base = 0.0
     else:
-        base = accountant._delta_past_squares(xi, rho, eps, method == "refined")
+        refined = method == "refined"
+        d = eps - xi - rho
+        try:
+            base = accountant._refined(xi, rho, eps) if refined else accountant._simple_tail(d, rho)
+        except OverflowError:
+            base = mp_refined(xi, rho, eps) if refined else mp_simple_tail(d, rho)
     return min(1.0, da + (1.0 - da) * base)
 
 
@@ -899,6 +911,8 @@ class TestDeltaOfEpsGrid:
     def test_a_huge_budget_matches_one_point_calls_past_the_squares(self, method):
         params = ZcdpParams(0.0, 5e159)
         grid = [0.0, 1e159, 5e159, 5.0000000001e159, 1e160, 1e300]
+        # The last two points overflow a square: there the reference is
+        # mpmath's, and delta' underflows to 0.
         got = delta_of_eps_grid(params, grid, method)
         assert bits(got) == bits(one_point_delta(params, eps, method) for eps in grid)
         assert got[-2:] == [0.0, 0.0]

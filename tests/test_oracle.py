@@ -1,5 +1,4 @@
 import math
-import time
 import random
 
 import mpmath
@@ -68,11 +67,10 @@ class TestQuadrature:
     @pytest.mark.parametrize("shift, sigma", [(1e300, 1.0), (-1.7e308, 1.0), (1.1e6, 1.0), (1.0, 1e-7)])
     def test_refuses_a_window_wider_than_its_finest_grid_before_integrating(self, shift, sigma):
         # Without the check the panels double to 2^21, which resolve nothing
-        # across a window of 2e300 sigma, before ArithmeticError.
-        start = time.perf_counter()
+        # across a window of 2e300 sigma, and the call raises ArithmeticError:
+        # a ValueError means it was refused before integrating.
         with pytest.raises(ValueError, match=r"wider than 2\^21 standard deviations"):
             gaussian_renyi_quadrature(shift, sigma, 2.0)
-        assert time.perf_counter() - start < 0.5
 
 
 class TestDeltaFromPld:
