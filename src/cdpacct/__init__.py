@@ -47,7 +47,7 @@ _EXPORTS = {
         "thresholded_gaussian",
     ),
     "oracle": (
-        "McEstimate", "PinskerRecord", "QuadratureSpec", "ViolationRecord", "delta_from_pld",
+        "McEstimate", "PinskerRecord", "ViolationRecord", "delta_from_pld",
         "delta_gaussian_mc", "gaussian_pld_discretized", "gaussian_renyi_quadrature",
         "hyperbolic_inequality_check", "mc_divergence_estimate", "mcdp_gaussian_check",
         "mcdp_postprocess_violation", "pinsker_check",

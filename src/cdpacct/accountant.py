@@ -170,6 +170,15 @@ def _gaussian_rho(sensitivity: float, sigma: float) -> float:
     return 0.5 * ratio**2
 
 
+def _log_ratio(x: float, d: float) -> float:
+    """ln(x / d) for x, d > 0: log(x / d), or log(x) - log(d) where x / d overflows or underflows.
+
+    1 / d overflows below d = 5.6e-309, where ln(1/d) is thus -log(d).
+    """
+    q = x / d
+    return math.log(q) if 0.0 < q < math.inf else math.log(x) - math.log(d)
+
+
 def compose(entries: Sequence[ZcdpParams]) -> ZcdpParams:
     """Sequential composition: budgets add, failure probabilities union-bound.
 
@@ -235,10 +244,9 @@ def zcdp_to_dp_refined(params: ZcdpParams, eps: float) -> float:
     floating point too, so only the second and fourth can win, and the
     product lies in [0, 1] unclamped.  The second, 2/sqrt(4/(pi rho)), is
     never below the fourth in exact arithmetic; it wins by one rounding
-    where rho b^2 is below about 1e-32.  At eps = inf delta is 0, which
-    the kernel would make NaN where 2 rho overflows, and where one of its
-    squares overflows the form of _delta_past_squares gives delta.  The
-    plain budget's delta_approx must be 0; approximate budgets go through
+    where rho b^2 is below about 1e-32.  _delta_past_squares gives delta,
+    also at eps = inf and where the kernel's floats give out.  The plain
+    budget's delta_approx must be 0; approximate budgets go through
     approx_zcdp_to_dp.
     """
     if params.delta_approx != 0.0:
@@ -247,7 +255,7 @@ def zcdp_to_dp_refined(params: ZcdpParams, eps: float) -> float:
         raise ValueError("refined conversion needs rho > 0")
     if not eps >= params.xi + params.rho:
         raise ValueError("refined conversion needs eps >= xi + rho")
-    return 0.0 if eps == math.inf else _delta_past_squares(params.xi, params.rho, eps, True)
+    return _delta_past_squares(params.xi, params.rho, eps, True)
 
 
 def _refined(xi: float, rho: float, eps: float) -> float:
@@ -261,19 +269,26 @@ def _refined(xi: float, rho: float, eps: float) -> float:
 
 
 def _delta_past_squares(xi: float, rho: float, eps: float, refined: bool) -> float:
-    """The refined (or simple) delta' at finite eps >= xi + rho, also where a kernel's square overflows.
+    """The refined (or simple) delta' at eps >= xi + rho, also where the kernel's floats give out.
 
-    The kernel's value wherever it has one.  Where d**2 overflows, the
-    exponent is taken as (d / (2 sqrt(rho)))**2, and where (1 + a)**2 does,
-    the fourth factor's root as hypot(1 + a, 2 / sqrt(pi rho)).  The eps and
-    rho searches call the kernels themselves and still raise OverflowError
-    at a step where a square overflows.
+    The kernel's value wherever it is positive.  Otherwise delta' is 0 at
+    eps = inf (where 2 rho or 4 rho overflows the kernel makes NaN there),
+    and at a finite eps the exponent is taken as (d / (2 sqrt(rho)))**2,
+    since d**2 may overflow, and the fourth factor's root as hypot(1 + a,
+    2 / sqrt(pi rho)), since (1 + a)**2 may overflow and 4 / (pi rho) does,
+    without raising, below rho = 7e-309, where the kernel's fourth factor
+    is 2 / inf = 0.  The eps and rho searches call the kernels themselves
+    and still raise OverflowError at a step where a square overflows.
     """
     d = eps - xi - rho
     try:
-        return _refined(xi, rho, eps) if refined else _simple_tail(d, rho)
+        delta = _refined(xi, rho, eps) if refined else _simple_tail(d, rho)
+        if delta > 0.0:
+            return delta
     except OverflowError:
         pass
+    if eps == math.inf:
+        return 0.0
     half = 0.5 * d / math.sqrt(rho)
     tail = math.exp(-(half * half))
     if not refined:
@@ -348,17 +363,16 @@ def approx_zcdp_to_dp(params: ZcdpParams, eps: float) -> DpPoint:
     """(eps, delta) point implied by a delta_approx-approximate budget.
 
     With rho = 0 the guarantee is already (xi, delta_approx)-DP and the
-    requested eps is ignored.  Otherwise the refined conversion, 0 at
-    eps = inf, handles the non-catastrophic branch and the failure masses
-    combine as delta_approx + (1 - delta_approx) * delta'.
+    requested eps is ignored.  Otherwise the refined conversion handles the
+    non-catastrophic branch and the failure masses combine as
+    delta_approx + (1 - delta_approx) * delta'.
     """
     xi, rho, da = params.xi, params.rho, params.delta_approx
     if rho == 0.0:
         return DpPoint(xi, da)
     if not eps >= xi + rho:
         raise ValueError("refined conversion needs eps >= xi + rho")
-    prime = 0.0 if eps == math.inf else _delta_past_squares(xi, rho, eps, True)
-    delta = da + (1.0 - da) * prime
+    delta = da + (1.0 - da) * _delta_past_squares(xi, rho, eps, True)
     return DpPoint(eps, delta if delta < 1.0 else 1.0)
 
 
@@ -390,11 +404,10 @@ def delta_of_eps(params: ZcdpParams, eps: float, method: str = "refined") -> flo
 def delta_of_eps_grid(params: ZcdpParams, grid: Sequence[float], method: str = "refined") -> list[float]:
     """delta at each eps of grid by one of CURVE_METHODS, as delta_approx + (1 - delta_approx) * delta'.
 
-    delta' is 1 below eps = xi + rho and 0 at eps = inf for the closed
-    forms, which take _delta_past_squares where a kernel's square
-    overflows; "exact_gaussian" is the exact curve of a Gaussian mechanism
-    with this rho (Balle & Wang 2018) and raises ValueError unless xi = 0
-    and rho >= MIN_EXACT_RHO.
+    delta' is 1 below eps = xi + rho for the closed forms and
+    _delta_past_squares from there; "exact_gaussian" is the exact curve of
+    a Gaussian mechanism with this rho (Balle & Wang 2018) and raises
+    ValueError unless xi = 0 and rho >= MIN_EXACT_RHO.
     A NaN point, then the budget and the method, are refused before any
     point is evaluated; then one loop evaluates every point.
     """
@@ -410,10 +423,7 @@ def delta_of_eps_grid(params: ZcdpParams, grid: Sequence[float], method: str = "
         base = [0.0 if eps >= xi else 1.0 for eps in grid]
     else:
         refined = method == "refined"
-        base = [
-            1.0 if eps < edge else 0.0 if eps == math.inf else _delta_past_squares(xi, rho, eps, refined)
-            for eps in grid
-        ]
+        base = [1.0 if eps < edge else _delta_past_squares(xi, rho, eps, refined) for eps in grid]
     return [d if (d := da + keep * b) < 1.0 else 1.0 for b in base]
 
 
@@ -426,7 +436,8 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
     xi + rho ("refined") or 0 ("exact_gaussian") and bisects to 1e-10 or
     1e-12, or to one ulp where wider, so the exact eps is never above the
     refined one.  Its secant seeds are the scan's start and the simple
-    eps, at or above both roots.
+    eps, at or above both roots.  The simple eps is xi + rho + 2 sqrt(rho)
+    sqrt(L), L = ln(1/delta'), where sqrt(4 rho L) overflows.
     """
     if method not in CURVE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {CURVE_METHODS}")
@@ -440,7 +451,9 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
     prime = (delta - da) / (1.0 - da)
     if rho == 0.0:
         return xi
-    simple = xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime))
+    log_inv = _log_ratio(1.0, prime)
+    root = math.sqrt(4.0 * rho * log_inv)
+    simple = xi + rho + (root if root < math.inf else 2.0 * math.sqrt(rho) * math.sqrt(log_inv))
     if method == "simple":
         return simple
     if method == "refined":
@@ -448,7 +461,7 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
         lo, step, atol = xi + rho, max(1.0, math.sqrt(rho)), 1e-10
     else:
         lo, step, atol = 0.0, 1.0, 1e-12
-    return _search(f, prime, lo, lo, step, 2.0, atol, (lo, simple), 1.0, lo=lo)
+    return _search(f, prime, lo, lo, step, 2.0, atol, (lo, simple), 1.0)
 
 
 def _rho_for_dp(eps: float, delta: float) -> float:
@@ -459,11 +472,11 @@ def _rho_for_dp(eps: float, delta: float) -> float:
     seeded at the simple conversion's root rho0 = (sqrt(L + eps) -
     sqrt(L))^2, L = ln(1/delta), at most the refined root.
     """
-    log_inv = math.log(1.0 / delta)
+    log_inv = _log_ratio(1.0, delta)
     rho0 = (eps / (math.sqrt(log_inv + eps) + math.sqrt(log_inv))) ** 2
     return _search(
         lambda rho: _refined(0.0, rho, eps), delta, eps, 0.0, eps, 0.5, 0.0,
-        (rho0, min(eps, 1.25 * rho0)), 0.0, lo=0.0, hi=eps,
+        (rho0, min(eps, 1.25 * rho0)), 0.0,
     )
 
 
@@ -476,7 +489,6 @@ _WINDOW = 1e-12
 def _search(
     f: Callable[[float], float], target: float, end: float, base: float, step: float,
     factor: float, atol: float, seeds: tuple[float, float], floor: float,
-    *, lo: float = -math.inf, hi: float = math.inf,
 ) -> float:
     """The x nearest end (to atol, or one ulp where wider) with f(x) <= target, for monotone f.
 
@@ -494,11 +506,14 @@ def _search(
     exceptions are f's if f is monotone at separations >= w and raises at
     no point the window decides.  f decides every point if the estimate
     takes over 30 steps, raises ArithmeticError or ValueError, or leaves
-    [lo, hi], f's domain, or if both window ends lie on one side of target.
+    f's domain, the span of the scan: [base, end] for a falling scan
+    (factor < 1) and [base, inf) for a rising one, or if both window ends
+    lie on one side of target.
     """
+    hi = end if factor < 1.0 else math.inf
 
     def checked(x: float) -> float:
-        if not lo <= x <= hi:
+        if not base <= x <= hi:
             raise ValueError("outside the domain of f")
         return f(x)
 
@@ -656,10 +671,10 @@ def dp_composition_bound(points: Sequence[DpPoint], delta_prime: float) -> DpPoi
     delta = min(1.0, delta_prime + math.fsum(p.delta for p in points))
     if l2 == 0.0:
         return DpPoint(0.0, delta)
-    log_arg = math.sqrt(math.pi / 2.0) * l2 / delta_prime
+    log_arg = _log_ratio(math.sqrt(math.pi / 2.0) * l2, delta_prime)
     eps = 0.5 * l2 * l2
-    if log_arg > 1.0:
-        eps += math.sqrt(2.0 * math.log(log_arg)) * l2
+    if log_arg > 0.0:
+        eps += math.sqrt(2.0 * log_arg) * l2
     return DpPoint(eps, delta)
 
 
@@ -677,7 +692,8 @@ def dp_composition_refined(points: Sequence[DpPoint], eps: float) -> DpPoint:
     keep = 1.0 - d_prime
     for p in sorted(points, key=lambda p: p.delta):
         keep *= 1.0 - p.delta
-    return DpPoint(eps, min(1.0, max(0.0, 1.0 - keep)))
+    # Each factor lies in [0, 1], so keep and 1 - keep do too, as in compose.
+    return DpPoint(eps, 1.0 - keep)
 
 
 def advanced_composition_baseline(eps: float, k: int, delta_prime: float) -> float:
@@ -692,7 +708,5 @@ def advanced_composition_baseline(eps: float, k: int, delta_prime: float) -> flo
         raise ValueError("k must be a positive integer")
     if not 0.0 < delta_prime < 1.0:
         raise ValueError("delta_prime must be in (0, 1)")
-    inverse = 1.0 / delta_prime
-    # Below about 5.6e-309, 1 / delta_prime overflows; its log does not.
-    log_inv = math.log(inverse) if inverse < math.inf else -math.log(delta_prime)
+    log_inv = _log_ratio(1.0, delta_prime)
     return eps * math.sqrt(2.0 * k * log_inv) + k * eps * (math.expm1(eps))

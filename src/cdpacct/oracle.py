@@ -22,18 +22,10 @@ from .accountant import _SQRT2, _erfcx, delta_exact_gaussian, grid_points
 from .divergence import OutcomeDist, PrivacyLossDist, aligned_probs, renyi_divergence
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Integration window (in standard deviations) and target accuracy."""
-
-    half_width_sigmas: float = 12.0
-    abs_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.half_width_sigmas < 8.0:
-            raise ValueError("half_width_sigmas must be at least 8")
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
+# Half-width of the quadratures' windows, in standard deviations, and the
+# change between successive panel doublings at which they stop.
+QUAD_HALF_WIDTH_SIGMAS = 12.0
+QUAD_ABS_TOL = 1e-8
 
 
 def _log_simpson(log_f, lo: float, hi: float, panels: int) -> float:
@@ -54,29 +46,25 @@ def _log_simpson(log_f, lo: float, hi: float, panels: int) -> float:
 _MAX_PANELS = 2**21
 
 
-def _converged_log_simpson(
-    log_f, lo: float, hi: float, abs_tol: float, divisor: float = 1.0
-) -> float:
+def _converged_log_simpson(log_f, lo: float, hi: float, divisor: float = 1.0) -> float:
     """_log_simpson / divisor, doubling the panels from 64 until two successive values agree."""
     panels = 64
     prev = _log_simpson(log_f, lo, hi, panels) / divisor
     while panels < _MAX_PANELS:
         panels *= 2
         cur = _log_simpson(log_f, lo, hi, panels) / divisor
-        if abs(cur - prev) <= abs_tol:
+        if abs(cur - prev) <= QUAD_ABS_TOL:
             return cur
         prev = cur
-    raise ArithmeticError("quadrature did not converge to abs_tol")
+    raise ArithmeticError("quadrature did not converge to QUAD_ABS_TOL")
 
 
-def gaussian_renyi_quadrature(
-    shift: float, sigma: float, alpha: float, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
+def gaussian_renyi_quadrature(shift: float, sigma: float, alpha: float) -> float:
     """Order-alpha divergence between N(0, sigma^2) and N(shift, sigma^2) by quadrature.
 
     Integrates the raw density product p^alpha q^(1-alpha) with composite
     Simpson, doubling the panel count until two successive divergence
-    values agree within abs_tol.  The integrand is a scaled Gaussian
+    values agree within QUAD_ABS_TOL.  The integrand is a scaled Gaussian
     centered at (1-alpha)*shift, so the window covers that center as well
     as both means.  A NaN or infinite shift raises ValueError, and so does
     a window wider than 2^21 standard deviations: even the finest grid,
@@ -97,12 +85,12 @@ def gaussian_renyi_quadrature(
         return alpha * lp + (1.0 - alpha) * lq
 
     center = (1.0 - alpha) * shift
-    w = spec.half_width_sigmas * sigma
+    w = QUAD_HALF_WIDTH_SIGMAS * sigma
     lo = min(0.0, shift, center) - w
     hi = max(0.0, shift, center) + w
     if not (hi - lo) / sigma <= _MAX_PANELS:
         raise ValueError(f"shift {shift!r} needs a window wider than 2^21 standard deviations")
-    return _converged_log_simpson(log_f, lo, hi, spec.abs_tol, alpha - 1.0)
+    return _converged_log_simpson(log_f, lo, hi, alpha - 1.0)
 
 
 def delta_from_pld(z: PrivacyLossDist, eps: float) -> float:
@@ -225,9 +213,7 @@ def mcdp_postprocess_violation(sigma: float, t: float, lam: float) -> ViolationR
     return ViolationRecord(lhs, rhs, lhs > rhs)
 
 
-def mcdp_gaussian_check(
-    sigma: float, lam: float, spec: QuadratureSpec = QuadratureSpec()
-) -> ViolationRecord:
+def mcdp_gaussian_check(sigma: float, lam: float) -> ViolationRecord:
     """Same check for the raw (unthresholded) Gaussian channel, by quadrature.
 
     The privacy loss of N(1, sigma^2) against N(-1, sigma^2) is
@@ -245,10 +231,10 @@ def mcdp_gaussian_check(
         return log_norm - (y - 1.0) * (y - 1.0) * inv2s2 + scale * (y - 1.0)
 
     center = 1.0 + 2.0 * lam
-    w = spec.half_width_sigmas * sigma
+    w = QUAD_HALF_WIDTH_SIGMAS * sigma
     lo = min(1.0, center) - w
     hi = max(1.0, center) + w
-    lhs = math.exp(_converged_log_simpson(log_f, lo, hi, spec.abs_tol))
+    lhs = math.exp(_converged_log_simpson(log_f, lo, hi))
     rhs = _exp(2.0 * lam * lam / (sigma * sigma))
     return ViolationRecord(lhs, rhs, lhs > rhs * (1.0 + 1e-9))
 

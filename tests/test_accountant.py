@@ -527,6 +527,25 @@ class TestDpConversions:
         assert zcdp_to_dp_refined(ZcdpParams(0.0, 0.5), 1e160) == 0.0
         assert approx_zcdp_to_dp(ZcdpParams(0.0, 0.5, 1e-9), 1e160) == DpPoint(1e160, 1e-9)
 
+    def test_delta_at_a_tiny_rho_matches_mpmath(self):
+        # Below rho = 7e-309, 4 / (pi rho) overflows to inf without raising, so
+        # the kernel's fourth factor is 2 / inf = 0 wherever (1 + a)^2 is a
+        # float.  With rho a^2 = d^2 / (4 rho) at most 50, delta is positive.
+        rng = random.Random(2301)
+        zeros = 0
+        for _ in range(700):
+            rho = 10.0 ** rng.uniform(-323.0, math.log10(5e-306))
+            top = math.log10(math.sqrt(50.0) / math.sqrt(rho))
+            grid = [rho + 2.0 * rho * 10.0 ** rng.uniform(-3.0, top) for _ in range(3)]
+            want = [mp_refined(0.0, rho, eps) for eps in grid]
+            zeros += sum(outcome(accountant._refined, 0.0, rho, eps) == 0.0 for eps in grid)
+            assert delta_of_eps_grid(ZcdpParams(0.0, rho), grid) == pytest.approx(want, rel=1e-12, abs=0.0)
+            for eps, w in zip(grid, want):
+                assert w > 0.0
+                assert zcdp_to_dp_refined(ZcdpParams(0.0, rho), eps) == pytest.approx(w, rel=1e-12, abs=0.0)
+                assert approx_zcdp_to_dp(ZcdpParams(0.0, rho), eps).delta == pytest.approx(w, rel=1e-12, abs=0.0)
+        assert zeros > 1000
+
     def test_refined_decreasing_in_eps(self):
         params = ZcdpParams(0.1, 0.4)
         grid = np.linspace(0.5, 8.0, 60)
@@ -757,6 +776,28 @@ class TestCurveEvaluators:
             eps = eps_of_delta(params, delta, "simple")
             assert eps == zcdp_to_dp_simple(params, delta).eps
             assert delta_of_eps(params, eps, "simple") == pytest.approx(delta, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "xi, rho, delta",
+        [(0.0, 1.0, 1e-320), (0.5, 1e-3, 5e-324), (1.0, 1e300, 1e-320), (0.0, 5e307, 1e-300), (0.0, 1.7e308, 1e-6)],
+    )
+    def test_simple_eps_is_finite_wherever_it_is_a_float(self, xi, rho, delta):
+        # 1 / delta overflows below 5.6e-309, and 4 rho ln(1/delta) past the floats.
+        with mpmath.workdps(50):
+            want = float(xi + rho + 2 * mpmath.sqrt(-mpmath.mpf(rho) * mpmath.log(delta)))
+        assert eps_of_delta(ZcdpParams(xi, rho), delta, "simple") == pytest.approx(want, rel=1e-15)
+
+    def test_simple_eps_keeps_its_bits_where_four_rho_l_is_a_float(self):
+        rng = random.Random(2302)
+        for _ in range(5000):
+            xi = rng.choice([0.0, rng.uniform(0.0, 1.0)])
+            rho = 10.0 ** rng.uniform(-320.0, 300.0)
+            delta = 10.0 ** rng.uniform(-300.0, -0.01)
+            da = rng.choice([0.0, 0.5 * delta])
+            prime = (delta - da) / (1.0 - da)
+            want = xi + rho + math.sqrt(4.0 * rho * math.log(1.0 / prime))
+            assert want < math.inf
+            assert eps_of_delta(ZcdpParams(xi, rho, da), delta, "simple") == want
 
     def test_exact_gaussian_inverts_exact_gaussian(self):
         params = ZcdpParams(0.0, 0.5)
@@ -989,6 +1030,43 @@ class TestCompositionCorollaries:
         for delta in (1e-300, 5.6e-309, 0.5):
             want = 0.1 * math.sqrt(2.0 * 10 * math.log(1.0 / delta)) + 10 * 0.1 * math.expm1(0.1)
             assert advanced_composition_baseline(0.1, 10, delta) == want
+
+    @pytest.mark.parametrize("delta_prime", [1e-320, 5e-324])
+    def test_bound_where_the_log_argument_overflows(self, delta_prime):
+        # sqrt(pi/2) ||eps||_2 / delta_prime passes the floats; its log does not.
+        pt = dp_composition_bound([DpPoint(0.1, 0.0)] * 100, delta_prime)
+        with mpmath.workdps(50):
+            l2 = mpmath.sqrt(100 * mpmath.mpf(0.1) ** 2)
+            log_arg = mpmath.log(mpmath.sqrt(mpmath.pi / 2) * l2 / mpmath.mpf(delta_prime))
+            want = float(l2 * l2 / 2 + mpmath.sqrt(2 * log_arg) * l2)
+        assert pt.eps == pytest.approx(want, rel=1e-14) and pt.delta == delta_prime
+
+    def test_bound_keeps_its_bits_where_the_log_argument_is_a_float(self):
+        rng = random.Random(2303)
+        for _ in range(3000):
+            points = [DpPoint(10.0 ** rng.uniform(-8.0, 2.0), 0.0) for _ in range(rng.randint(1, 5))]
+            delta_prime = 10.0 ** rng.uniform(-300.0, 300.0)
+            l2 = math.sqrt(math.fsum(p.eps**2 for p in points))
+            log_arg = math.sqrt(math.pi / 2.0) * l2 / delta_prime
+            want = 0.5 * l2 * l2
+            if log_arg > 1.0:
+                want += math.sqrt(2.0 * math.log(log_arg)) * l2
+            assert dp_composition_bound(points, delta_prime).eps == want
+
+    def test_refined_composition_equals_the_clamped_form_bit_for_bit(self):
+        # Every factor of keep lies in [0, 1], so the old clamp never bound.
+        rng = random.Random(2304)
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            deltas = [rng.choice([0.0, 5e-324, 1.0 - 2.0**-53, 1.0, 10.0 ** rng.uniform(-12.0, 0.0)]) for _ in range(n)]
+            points = [DpPoint(rng.choice([0.0, 10.0 ** rng.uniform(-4.0, 1.0)]), d) for d in deltas]
+            rho = 0.5 * math.fsum(p.eps**2 for p in points)
+            eps = rho + rng.choice([0.0, 10.0 ** rng.uniform(-3.0, 2.0), math.inf])
+            d_prime = 0.0 if rho == 0.0 else zcdp_to_dp_refined(ZcdpParams(0.0, rho), eps)
+            keep = 1.0 - d_prime
+            for p in sorted(points, key=lambda p: p.delta):
+                keep *= 1.0 - p.delta
+            assert dp_composition_refined(points, eps).delta == min(1.0, max(0.0, 1.0 - keep))
 
     def test_small_log_branch_returns_endpoint(self):
         # With a large failure budget the log factor goes nonpositive and

@@ -777,6 +777,14 @@ class TestOutOfRangeArithmetic:
             "",
         )
 
+    def test_convert_where_one_over_delta_or_four_over_pi_rho_overflows(self, capsys):
+        # Both answers are floats: mpmath gives eps = 55.2891238055 and
+        # delta = 1.7724459969e-155.
+        assert main(["convert", "--rho", "1", "--delta", "1e-320"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "eps (simple): 5.52891238055e+01"
+        assert main(["convert", "--rho", "1e-310", "--eps", "1e-160"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "delta (refined): 1.77244599690e-155"
+
     def test_ledger_overflow(self, tmp_path, capsys):
         path = write_ledger(
             tmp_path,

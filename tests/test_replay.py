@@ -154,17 +154,26 @@ class TestSameAnswersAsThePlainSearch:
 
 
 def test_an_estimate_outside_the_domain_gives_back_f():
-    # f is monotone only on its domain x >= 0.5.  The secant from 4 and 9
-    # lands on -1, where f also meets the target; a window there would
-    # reverse every decision of the search above 0.5.
+    # f is monotone only on its domain x >= 0.5, the span of the rising scan
+    # from 0.5.  The secant from 4 and 9 lands on -1, where f also meets the
+    # target; a window there would reverse every decision of the search above 0.5.
     def f(x):
         return math.exp(-abs(x))
 
     target = math.exp(-1.0)
     args = (f, target, 0.5, 0.5, 1.0, 2.0, 1e-12, (4.0, 9.0), 1.0)
-    assert acct._search(*args, lo=0.5) == scan_and_bisect(*args) == 1.0
-    with pytest.raises(ValueError):
-        acct._search(*args)
+    assert acct._search(*args) == scan_and_bisect(*args) == 1.0
+
+
+def test_an_estimate_past_the_end_of_a_falling_scan_gives_back_f():
+    # A falling scan from end = 1 takes [0, 1] as f's domain.  f rises on it
+    # but falls past 1; the secant from 1.5 and 1.6 lands on 1.75, where f
+    # also meets the target, and a window there would decide 0.25 wrongly.
+    def f(x):
+        return x if x <= 1.0 else 2.0 - x
+
+    args = (f, 0.25, 1.0, 0.0, 1.0, 0.5, 0.0, (1.5, 1.6), 0.0)
+    assert acct._search(*args) == scan_and_bisect(*args) == 0.25
 
 
 @pytest.fixture
@@ -198,6 +207,21 @@ class TestEvaluationCounts:
         for _ in range(n):
             calibrate_sigma_for_dp(1.0, rng.uniform(0.5, 2.0), log_uniform(rng, -12, -4))
         assert n <= refined_calls[0] <= 30 * n
+
+    def test_subnormal_delta(self, refined_calls, plain):
+        # At delta = 1e-320 the refined delta near the root is subnormal, in
+        # steps of about 5e-4 of its value, so f is flat across the window,
+        # which never forms: f decides every point, after the secant's calls.
+        rng = random.Random(7008)
+        budgets = [ZcdpParams(rng.choice([0.0, 0.05]), log_uniform(rng, -3, 2)) for _ in range(100)]
+        epsilons = [rng.uniform(0.5, 2.0) for _ in range(50)]
+        answers = [eps_for_delta(b, 1e-320) for b in budgets]
+        answers += [calibrate_sigma_for_dp(1.0, eps, 1e-320) for eps in epsilons]
+        windowed, refined_calls[0] = refined_calls[0], 0
+        want = [plain(eps_for_delta, b, 1e-320) for b in budgets]
+        want += [plain(calibrate_sigma_for_dp, 1.0, eps, 1e-320) for eps in epsilons]
+        assert answers == want
+        assert refined_calls[0] <= windowed <= refined_calls[0] + 8 * (len(budgets) + len(epsilons))
 
     def test_overflowing_eps_query(self, refined_calls):
         # About 445 scan steps lie below half an ulp of xi + rho = 1e300 and

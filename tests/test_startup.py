@@ -21,8 +21,8 @@ from cdpacct import cli, verify
 PUBLIC_NAMES = [
     "ALPHA_GRID", "DpPoint", "ExpMechSpec", "FiniteChannel", "GaussianMech", "LedgerEntry",
     "McEstimate", "McdpParams", "MetricPointSet", "MultiGaussianMech", "OutcomeDist",
-    "PackingRecord", "PinskerRecord", "PrivacyLossDist", "PurifiedMechanism", "QuadratureSpec",
-    "ViolationRecord", "ZcdpParams", "advanced_composition_baseline", "aligned_probs",
+    "PackingRecord", "PinskerRecord", "PrivacyLossDist", "PurifiedMechanism", "ViolationRecord",
+    "ZcdpParams", "advanced_composition_baseline", "aligned_probs",
     "approx_randomized_response", "approx_zcdp_to_dp", "calibrate_sigma_for_dp",
     "calibrate_sigma_for_rho", "certify_zcdp", "channel_pushforward", "compose",
     "delta_exact_gaussian", "delta_from_pld", "delta_gaussian_mc", "delta_of_eps",
