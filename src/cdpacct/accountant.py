@@ -180,20 +180,20 @@ def _log_ratio(x: float, d: float) -> float:
 
 
 def compose(entries: Sequence[ZcdpParams]) -> ZcdpParams:
-    """Sequential composition: budgets add, failure probabilities union-bound.
+    """Sequential composition: budgets add, failure probabilities form their exact union.
 
-    Returns (sum xi, sum rho, 1 - prod(1 - delta)).  Sums use exact float
-    summation, so the result is permutation-invariant.
+    Returns (sum xi, sum rho, 1 - prod(1 - delta)), the union built up as
+    s + (1 - s) delta over ascending deltas, which does not cancel.  Exact
+    sums and the sort make the result permutation-invariant.
     """
     if not entries:
         raise ValueError("compose needs at least one entry")
     xi = math.fsum([e.xi for e in entries])
     rho = math.fsum([e.rho for e in entries])
-    keep = 1.0
+    union = 0.0
     for delta in sorted([e.delta_approx for e in entries]):
-        keep *= 1.0 - delta
-    # Each factor lies in [0, 1], so keep and 1 - keep do too: no clamp is needed.
-    return ZcdpParams(xi, rho, 1.0 - keep)
+        union += (1.0 - union) * delta
+    return ZcdpParams(xi, rho, union)
 
 
 # Largest group size: group_privacy sums the harmonic number term by term.
@@ -271,25 +271,27 @@ def _refined(xi: float, rho: float, eps: float) -> float:
 def _delta_past_squares(xi: float, rho: float, eps: float, refined: bool) -> float:
     """The refined (or simple) delta' at eps >= xi + rho, also where the kernel's floats give out.
 
-    The kernel's value wherever it is positive.  Otherwise delta' is 0 at
-    eps = inf (where 2 rho or 4 rho overflows the kernel makes NaN there),
-    and at a finite eps the exponent is taken as (d / (2 sqrt(rho)))**2,
-    since d**2 may overflow, and the fourth factor's root as hypot(1 + a,
-    2 / sqrt(pi rho)), since (1 + a)**2 may overflow and 4 / (pi rho) does,
-    without raising, below rho = 7e-309, where the kernel's fourth factor
-    is 2 / inf = 0.  The eps and rho searches call the kernels themselves
-    and still raise OverflowError at a step where a square overflows.
+    The kernel's value wherever it is positive, save the simple tail at
+    |d| < 2^-511, where d**2 is subnormal and has lost digits.  Otherwise
+    delta' is 0 at eps = inf (where 2 rho or 4 rho overflows the kernel
+    makes NaN there), and at a finite eps the exponent is taken as
+    (d / (2 sqrt(rho)))**2, since d**2 may overflow or be subnormal, and
+    the fourth factor's root as hypot(1 + a, 2 / sqrt(pi rho)), since
+    (1 + a)**2 may overflow and 4 / (pi rho) does, without raising, below
+    rho = 7e-309, where the kernel's fourth factor is 2 / inf = 0.  The eps
+    and rho searches call the kernels themselves and still raise
+    OverflowError at a step where a square overflows.
     """
     d = eps - xi - rho
     try:
-        delta = _refined(xi, rho, eps) if refined else _simple_tail(d, rho)
+        delta = _refined(xi, rho, eps) if refined else 0.0 if -_SQUARE_MIN < d < _SQUARE_MIN else _simple_tail(d, rho)
         if delta > 0.0:
             return delta
     except OverflowError:
         pass
     if eps == math.inf:
         return 0.0
-    half = 0.5 * d / math.sqrt(rho)
+    half = d / (2.0 * math.sqrt(rho))
     tail = math.exp(-(half * half))
     if not refined:
         return tail
@@ -364,16 +366,16 @@ def approx_zcdp_to_dp(params: ZcdpParams, eps: float) -> DpPoint:
 
     With rho = 0 the guarantee is already (xi, delta_approx)-DP and the
     requested eps is ignored.  Otherwise the refined conversion handles the
-    non-catastrophic branch and the failure masses combine as
-    delta_approx + (1 - delta_approx) * delta'.
+    non-catastrophic branch and the failure masses combine as their union
+    delta_approx + (1 - delta_approx) * delta', the step compose takes.
+    With both in [0, 1] the float result stays in [0, 1], so no clamp.
     """
     xi, rho, da = params.xi, params.rho, params.delta_approx
     if rho == 0.0:
         return DpPoint(xi, da)
     if not eps >= xi + rho:
         raise ValueError("refined conversion needs eps >= xi + rho")
-    delta = da + (1.0 - da) * _delta_past_squares(xi, rho, eps, True)
-    return DpPoint(eps, delta if delta < 1.0 else 1.0)
+    return DpPoint(eps, da + (1.0 - da) * _delta_past_squares(xi, rho, eps, True))
 
 
 def eps_for_delta(params: ZcdpParams, delta: float) -> float:
@@ -424,7 +426,7 @@ def delta_of_eps_grid(params: ZcdpParams, grid: Sequence[float], method: str = "
     else:
         refined = method == "refined"
         base = [1.0 if eps < edge else _delta_past_squares(xi, rho, eps, refined) for eps in grid]
-    return [d if (d := da + keep * b) < 1.0 else 1.0 for b in base]
+    return [da + keep * b for b in base]
 
 
 def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> float:
@@ -681,19 +683,15 @@ def dp_composition_bound(points: Sequence[DpPoint], delta_prime: float) -> DpPoi
 def dp_composition_refined(points: Sequence[DpPoint], eps: float) -> DpPoint:
     """Four-branch form of the same composition at a requested total eps.
 
-    Treats the composition as the budget (0, sum eps_i^2 / 2), converts with
-    the refined minimum, and combines failure masses multiplicatively:
-    delta = 1 - (1 - delta') prod(1 - delta_i).
+    The compose of each point's dp_to_approx_zcdp budget, (0, sum eps_i^2 / 2)
+    with delta_approx the union of the delta_i, converted at eps by
+    approx_zcdp_to_dp: delta = delta_approx + (1 - delta_approx) delta',
+    that is 1 - (1 - delta') prod(1 - delta_i).
     """
     if not points:
         raise ValueError("need at least one point")
-    rho = 0.5 * math.fsum(p.eps**2 for p in points)
-    d_prime = 0.0 if rho == 0.0 else zcdp_to_dp_refined(ZcdpParams(0.0, rho), eps)
-    keep = 1.0 - d_prime
-    for p in sorted(points, key=lambda p: p.delta):
-        keep *= 1.0 - p.delta
-    # Each factor lies in [0, 1], so keep and 1 - keep do too, as in compose.
-    return DpPoint(eps, 1.0 - keep)
+    budget = compose([dp_to_approx_zcdp(p) for p in points])
+    return DpPoint(eps, approx_zcdp_to_dp(budget, eps).delta)
 
 
 def advanced_composition_baseline(eps: float, k: int, delta_prime: float) -> float:

@@ -265,7 +265,8 @@ def loss_tail_bound(xi: float, rho: float, lam: float) -> float:
     if rho == 0.0:
         return 0.0
     square, four_rho = lam * lam, 4.0 * rho
-    if square == math.inf or four_rho == math.inf:  # (lam / (2 sqrt(rho)))^2 may still be finite
-        half = 0.5 * lam / math.sqrt(rho)
+    # (lam / (2 sqrt(rho)))^2 where lam^2 or 4 rho overflows, or lam^2 is subnormal (lam < 2^-511).
+    if lam < 2.0**-511 or square == math.inf or four_rho == math.inf:
+        half = lam / (2.0 * math.sqrt(rho))
         return math.exp(-(half * half))
     return math.exp(-square / four_rho)

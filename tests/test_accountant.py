@@ -7,6 +7,7 @@ import random
 import re
 import time
 from collections.abc import Mapping
+from fractions import Fraction
 from types import MappingProxyType
 
 import mpmath
@@ -336,7 +337,11 @@ class TestCompose:
                 )
                 for _ in range(rng.randint(1, 12))
             ]
-            want = bits(astuple(builtin_compose(parts)))
+            xi, rho, union = builtin_compose(parts)
+            got = compose(parts)
+            assert bits((got.xi, got.rho)) == bits((xi, rho)), parts
+            assert within_union(got.delta_approx, union, len(parts) + 2), parts
+            want = bits(astuple(got))
             for _ in range(4):
                 rng.shuffle(parts)
                 assert bits(astuple(compose(parts))) == want, parts
@@ -348,14 +353,54 @@ class TestCompose:
         assert left.xi == pytest.approx(right.xi, abs=1e-12)
         assert left.rho == pytest.approx(right.rho, abs=1e-12)
 
+    def test_delta_is_associative_under_nesting(self):
+        rng = random.Random(2402)
+        for _ in range(3000):
+            a, b, c = (ZcdpParams(0.0, 0.0, union_draw(rng)) for _ in range(3))
+            union = exact_union([a.delta_approx, b.delta_approx, c.delta_approx])
+            for nested in (compose([compose([a, b]), c]), compose([a, compose([b, c])]), compose([compose([a, c]), b])):
+                assert within_union(nested.delta_approx, union, 4), (a, b, c)
+
+    def test_delta_is_the_exact_union_to_four_roundings(self):
+        # 1 - prod(1 - delta) in floats gave 0 for 200 deltas of 1e-17 and
+        # read 50 deltas of 3e-15 8e-4 low.
+        rng = random.Random(2401)
+        for _ in range(1500):
+            deltas = [union_draw(rng) for _ in range(rng.randint(1, 100))]
+            got = compose([ZcdpParams(0.0, 0.0, d) for d in deltas]).delta_approx
+            assert within_union(got, exact_union(deltas), 4), deltas
+        assert compose([ZcdpParams(0.0, 0.0, 1e-17)] * 200).delta_approx == pytest.approx(2e-15, rel=1e-14)
+        two = compose([ZcdpParams(0.0, 0.0, 1e-7), ZcdpParams(0.0, 0.0, 1e-8)]).delta_approx
+        assert two == pytest.approx(1.09999999e-07, rel=1e-15)  # printed 1.09999998998e-07 before
+
+
+def union_draw(rng):
+    """A delta: an edge value a quarter of the time, else log-uniform from 1e-320 to 1."""
+    if rng.random() < 0.25:
+        return rng.choice([0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 1.0])
+    return 10.0 ** rng.uniform(-320.0, 0.0)
+
+
+def exact_union(deltas):
+    """1 - prod(1 - delta) in exact rational arithmetic."""
+    keep = Fraction(1)
+    for d in deltas:
+        keep *= 1 - Fraction(d)
+    return 1 - keep
+
+
+def within_union(got, union, roundings):
+    """Whether a float delta lies within roundings * 2^-53 relative, or 5e-324 absolute, of the exact union."""
+    error = abs(Fraction(got) - union)
+    return error <= Fraction(5e-324) or error <= union * Fraction(roundings, 2**53)
+
 
 def builtin_compose(entries):
-    """compose with generator sums, a keyed sort and a min/max clamp: the reference."""
-    keep = 1.0
-    for e in sorted(entries, key=lambda e: e.delta_approx):
-        keep *= 1.0 - e.delta_approx
-    return ZcdpParams(
-        math.fsum(e.xi for e in entries), math.fsum(e.rho for e in entries), min(1.0, max(0.0, 1.0 - keep))
+    """(xi, rho, exact delta union) with generator sums and rational arithmetic: the reference."""
+    return (
+        math.fsum(e.xi for e in entries),
+        math.fsum(e.rho for e in entries),
+        exact_union([e.delta_approx for e in entries]),
     )
 
 
@@ -545,6 +590,24 @@ class TestDpConversions:
                 assert zcdp_to_dp_refined(ZcdpParams(0.0, rho), eps) == pytest.approx(w, rel=1e-12, abs=0.0)
                 assert approx_zcdp_to_dp(ZcdpParams(0.0, rho), eps).delta == pytest.approx(w, rel=1e-12, abs=0.0)
         assert zeros > 1000
+
+    def test_simple_delta_at_a_tiny_rho_matches_mpmath(self):
+        # Below |d| = 2^-511, d^2 is subnormal and has lost digits: at
+        # rho = 1e-323 the simple delta read 0.5353 where it is 0.5643.
+        rng = random.Random(2404)
+        for _ in range(700):
+            rho = 10.0 ** rng.uniform(-323.0, -300.0)
+            top = math.log10(2.0 * math.sqrt(50.0 * rho))
+            grid = [rho + 10.0 ** rng.uniform(top - 6.0, top) for _ in range(3)]
+            want = [mp_simple_tail(eps - rho, rho) for eps in grid]
+            assert delta_of_eps_grid(ZcdpParams(0.0, rho), grid, "simple") == pytest.approx(want, rel=1e-12, abs=0.0)
+            # From |d| = 2^-511 up the square is normal and the kernel's bits stay.
+            eps = rho + 2.0 ** rng.uniform(-511.0, -500.0)
+            d = eps - rho
+            if d >= 2.0**-511:
+                assert accountant._delta_past_squares(0.0, rho, eps, False) == accountant._simple_tail(d, rho)
+        delta = delta_of_eps(ZcdpParams(0.0, 1e-323), 4.755630139974853e-162, "simple")
+        assert delta == pytest.approx(0.5642873755018725, rel=1e-12)
 
     def test_refined_decreasing_in_eps(self):
         params = ZcdpParams(0.1, 0.4)
@@ -940,6 +1003,32 @@ class TestDeltaOfEpsGrid:
                 assert bits(got) == bits(one_point_delta(params, eps, method) for eps in grid), (params, method)
                 assert bits(got) == bits(delta_of_eps(params, eps, method) for eps in grid)
 
+    def test_the_union_equals_its_clamped_form_bit_for_bit(self):
+        # With delta_approx and delta' in [0, 1], delta_approx + (1 -
+        # delta_approx) delta' never rounds above 1, so a clamp never binds.
+        rng = random.Random(2406)
+        edges = [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]
+        for _ in range(2000):
+            xi = rng.choice([0.0, 10.0 ** rng.uniform(-6, 1)])
+            rho = rng.choice([0.0, 10.0 ** rng.uniform(-12, 3)])
+            da = rng.choice(edges) if rng.random() < 0.3 else rng.choice([rng.random(), 10.0 ** rng.uniform(-320, 0)])
+            params = ZcdpParams(xi, rho, da)
+            edge = xi + rho
+            grid = [rng.uniform(0.0, 2.0 * edge + 10.0 * math.sqrt(rho) + 1.0) for _ in range(20)]
+            grid += [edge, math.nextafter(edge, math.inf), math.inf]
+            for method in ("simple", "refined"):
+                base = [
+                    (0.0 if eps >= xi else 1.0) if rho == 0.0
+                    else 1.0 if eps < edge else accountant._delta_past_squares(xi, rho, eps, method == "refined")
+                    for eps in grid
+                ]
+                clamped = [min(1.0, da + (1.0 - da) * b) for b in base]
+                assert bits(delta_of_eps_grid(params, grid, method)) == bits(clamped), (params, method)
+            if rho > 0.0:
+                for eps, b in zip(grid, base):
+                    if eps >= edge:
+                        assert approx_zcdp_to_dp(params, eps).delta == min(1.0, da + (1.0 - da) * b)
+
     def test_a_huge_budget_matches_one_point_calls(self):
         # Beyond eps = rho + 1.3e154, (eps - xi - rho)^2 in the closed forms
         # overflows; the exact curve has no square there.
@@ -1054,19 +1143,31 @@ class TestCompositionCorollaries:
             assert dp_composition_bound(points, delta_prime).eps == want
 
     def test_refined_composition_equals_the_clamped_form_bit_for_bit(self):
-        # Every factor of keep lies in [0, 1], so the old clamp never bound.
+        # delta is the exact union of the delta_i and the refined delta',
+        # 1 - (1 - delta') prod(1 - delta_i), to a few roundings.
         rng = random.Random(2304)
         for _ in range(3000):
             n = rng.randint(1, 6)
             deltas = [rng.choice([0.0, 5e-324, 1.0 - 2.0**-53, 1.0, 10.0 ** rng.uniform(-12.0, 0.0)]) for _ in range(n)]
             points = [DpPoint(rng.choice([0.0, 10.0 ** rng.uniform(-4.0, 1.0)]), d) for d in deltas]
-            rho = 0.5 * math.fsum(p.eps**2 for p in points)
+            rho = math.fsum(0.5 * p.eps * p.eps for p in points)
             eps = rho + rng.choice([0.0, 10.0 ** rng.uniform(-3.0, 2.0), math.inf])
             d_prime = 0.0 if rho == 0.0 else zcdp_to_dp_refined(ZcdpParams(0.0, rho), eps)
-            keep = 1.0 - d_prime
-            for p in sorted(points, key=lambda p: p.delta):
-                keep *= 1.0 - p.delta
-            assert dp_composition_refined(points, eps).delta == min(1.0, max(0.0, 1.0 - keep))
+            got = dp_composition_refined(points, eps)
+            assert got.eps == eps and within_union(got.delta, exact_union(deltas + [d_prime]), 4), (points, eps)
+
+    def test_refined_composition_is_compose_then_the_conversion(self):
+        assert dp_composition_refined([DpPoint(1.0, 1e-20)] * 3, 20.0).delta == pytest.approx(3e-20, rel=1e-12)
+        rng = random.Random(2403)
+        for _ in range(1000):
+            points = [DpPoint(10.0 ** rng.uniform(-4.0, 1.0), union_draw(rng)) for _ in range(rng.randint(1, 8))]
+            budget = compose([dp_to_approx_zcdp(p) for p in points])
+            eps = budget.rho + 10.0 ** rng.uniform(-3.0, 2.0)
+            assert dp_composition_refined(points, eps) == DpPoint(eps, approx_zcdp_to_dp(budget, eps).delta)
+        with pytest.raises(ValueError, match="need at least one point"):
+            dp_composition_refined([], 1.0)
+        with pytest.raises(ValueError, match="rho must be nonnegative and finite"):
+            dp_composition_refined([DpPoint(1e200, 0.0)], 1.0)
 
     def test_small_log_branch_returns_endpoint(self):
         # With a large failure budget the log factor goes nonpositive and
@@ -1112,7 +1213,9 @@ def test_compose_matches_componentwise_sums(parts):
     out = compose(budgets)
     assert out.xi == pytest.approx(math.fsum(b.xi for b in budgets), abs=1e-12)
     assert out.rho == pytest.approx(math.fsum(b.rho for b in budgets), abs=1e-12)
-    assert out.delta_approx <= math.fsum(b.delta_approx for b in budgets) + 1e-12
+    # Each step's sum rounds by at most one rounding of the final union, and
+    # the products' roundings add up to two: n + 2 in all.
+    assert within_union(out.delta_approx, exact_union([b.delta_approx for b in budgets]), len(budgets) + 2)
 
 
 @settings(max_examples=80, deadline=None)

@@ -191,6 +191,15 @@ class TestCompose:
         assert "rho=1.00000000000e+00" in out
         assert "delta=1.00000000000e-06" in out
 
+    def test_deltas_below_1e_16_are_not_lost(self, tmp_path, capsys):
+        # 1 - prod(1 - delta) in floats printed delta_approx 0 here, and an
+        # eps of 7.77530743964e-01 at delta = 1e-8, below the sound one.
+        doc = {"entries": [{"kind": "approx_dp", "params": {"eps": 0.01, "delta": 1e-17}}] * 200}
+        assert main(["compose", "--ledger", write_ledger(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith(" delta_approx=2.00000000000e-15")
+        assert out[3] == "dp point at delta=1.00000000000e-08: eps=7.77530748970e-01"
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["compose", "--ledger", str(tmp_path / "nope.json")]) == 3
 
@@ -784,6 +793,12 @@ class TestOutOfRangeArithmetic:
         assert capsys.readouterr().out.splitlines()[1] == "eps (simple): 5.52891238055e+01"
         assert main(["convert", "--rho", "1e-310", "--eps", "1e-160"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "delta (refined): 1.77244599690e-155"
+
+    def test_convert_simple_delta_where_the_square_is_subnormal(self, capsys):
+        # (eps - rho)^2 is subnormal: mpmath gives 0.564287375502, where the
+        # square's lost digits gave 0.535261428519.
+        assert main(["convert", "--rho", "1e-323", "--eps", "4.755630139974853e-162"]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "delta (simple): 5.64287375502e-01"
 
     def test_ledger_overflow(self, tmp_path, capsys):
         path = write_ledger(

@@ -332,6 +332,19 @@ class TestPrivacyLossDist:
             expect = float(mpmath.exp(-(mpmath.mpf(lam) ** 2 / (4 * mpmath.mpf(rho)))))
             assert loss_tail_bound(0.0, rho, lam) == pytest.approx(expect, rel=1e-14), (rho, lam)
 
+    def test_loss_tail_bound_where_lambda_squared_is_subnormal(self):
+        # Below lam = 2^-511, lam^2 is subnormal and has lost digits.  With
+        # rho from 1e-323 to 1e-300 and lam^2 / (4 rho) at most 50 the bound
+        # is a positive float; lam^2 / (4 rho) read it up to 5% high.
+        rng = random.Random(2405)
+        for _ in range(1000):
+            rho = 10.0 ** rng.uniform(-323.0, -300.0)
+            top = min(math.log10(2.0 * math.sqrt(50.0 * rho)), -511.0 * math.log10(2.0))
+            lam = 10.0 ** rng.uniform(top - 6.0, top)
+            with mpmath.workdps(50):
+                expect = float(mpmath.exp(-(mpmath.mpf(lam) ** 2 / (4 * mpmath.mpf(rho)))))
+            assert loss_tail_bound(0.0, rho, lam) == pytest.approx(expect, rel=1e-12, abs=0.0), (rho, lam)
+
     def test_loss_tail_bound_keeps_its_bits_where_lambda_squared_is_finite(self):
         rng = random.Random(1923)
         for _ in range(3000):
