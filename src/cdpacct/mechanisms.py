@@ -121,11 +121,19 @@ def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> floa
     return calibrate_sigma_for_rho(sensitivity, _rho_for_dp(eps, delta))
 
 
+_LOG_MAX = math.log(sys.float_info.max)  # the largest eps whose e^eps is finite
+
+
+def _keep(eps: float) -> float:
+    """e^eps / (1 + e^eps), already 1.0 from eps ~ 37 on, so 1.0 where e^eps overflows."""
+    return math.exp(eps) / (1.0 + math.exp(eps)) if eps <= _LOG_MAX else 1.0
+
+
 def randomized_response(eps: float) -> tuple[OutcomeDist, OutcomeDist]:
     """Per-bit randomized response channel: output dists for inputs +1 and -1."""
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    keep = math.exp(eps) / (1.0 + math.exp(eps))
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    keep = _keep(eps)
     plus = OutcomeDist((1, -1), (keep, 1.0 - keep))
     minus = OutcomeDist((1, -1), (1.0 - keep, keep))
     return plus, minus
@@ -146,11 +154,11 @@ def approx_randomized_response(eps: float, delta: float) -> tuple[OutcomeDist, O
     occurs.  Returns the pair of distributions for b = 0 and b = 1 over the
     shared four-outcome set.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("eps must be nonnegative and finite")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must be in [0, 1]")
-    keep = math.exp(eps) / (1.0 + math.exp(eps))
+    keep = _keep(eps)
     outcomes = ((0, TOP), (1, TOP), (0, BOT), (1, BOT))
     b0 = OutcomeDist(outcomes, (delta, 0.0, (1.0 - delta) * keep, (1.0 - delta) * (1.0 - keep)))
     b1 = OutcomeDist(outcomes, (0.0, delta, (1.0 - delta) * (1.0 - keep), (1.0 - delta) * keep))

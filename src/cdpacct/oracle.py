@@ -111,12 +111,19 @@ def delta_from_pld(z: PrivacyLossDist, eps: float) -> float:
     return min(1.0, max(0.0, total))
 
 
+def seeded_random(seed: int) -> random.Random:
+    """random.Random(seed), refusing a negative seed, which draws what -seed draws."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
+
+
 def delta_gaussian_mc(eta: float, eps: float, n_samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo evaluation of the same tail functional: (estimate, std_error).
 
     Used to validate the closed form before it is trusted as an oracle.
-    The losses come from random.Random(seed).gauss; a NaN eps or an
-    infinite eta raises ValueError.
+    The losses come from seeded_random(seed).gauss; a NaN eps, an
+    infinite eta or a negative seed raises ValueError.
     """
     if not 0.0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
@@ -124,7 +131,7 @@ def delta_gaussian_mc(eta: float, eps: float, n_samples: int, seed: int) -> tupl
         raise ValueError("eps must be a number, got nan")
     if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
-    rng = random.Random(seed)
+    rng = seeded_random(seed)
     s = math.sqrt(2.0 * eta)
     vals = [max(0.0, -math.expm1(eps - rng.gauss(eta, s))) for _ in range(n_samples)]
     est = math.fsum(vals) / n_samples
@@ -293,7 +300,7 @@ def mc_divergence_estimate(
 ) -> McEstimate:
     """Plug-in Monte Carlo estimate of D_alpha from empirical frequencies.
 
-    Draws n_samples from each distribution with random.Random(seed)
+    Draws n_samples from each distribution with seeded_random(seed)
     (bit-reproducible), forms empirical frequency vectors, and evaluates
     the divergence on them.  The standard error comes from the delta
     method applied to the moment sum S = sum p_hat^alpha q_hat^(1-alpha)
@@ -304,7 +311,7 @@ def mc_divergence_estimate(
         raise ValueError("estimator requires finite alpha > 1")
     if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
-    rng = random.Random(seed)
+    rng = seeded_random(seed)
 
     def frequencies(probs: tuple[float, ...]) -> list[float]:
         counts = Counter(rng.choices(range(len(probs)), probs, k=n_samples))

@@ -1,16 +1,15 @@
 """Named verification suites: property sweeps plus oracle comparisons.
 
 Each suite returns a list of Case records; the CLI renders them as a
-pass/fail table and a JSON report.  All randomness is drawn from one
-seeded generator, so a given (suite, seed) pair is fully reproducible.
-That generator, _Rng, draws the same numbers as numpy.random.default_rng,
-so the suites need only the standard library.
+pass/fail table and a JSON report.  All randomness is drawn from
+random.Random(seed), so a given (suite, seed) pair is fully reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 from . import accountant as acct
@@ -39,118 +38,16 @@ class Case:
     rhs: float
 
 
-_M32 = 0xFFFFFFFF
-_M64 = 0xFFFFFFFFFFFFFFFF
-_M128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hash: xor a running 32-bit constant in, step it, multiply, fold."""
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: int, y: int) -> int:
-    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-    return value ^ value >> 16
-
-
-def _seed_sequence(seed: int) -> tuple[int, int]:
-    """The 128-bit state and increment that numpy's SeedSequence(seed) gives PCG64.
-
-    The seed's 32-bit words, low first, are hashed into a pool of four
-    words, the pool is mixed, and eight words hashed out of it are read as
-    four little-endian uint64.
-    """
-    if not seed >= 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    entropy = [seed >> 32 * i & _M32 for i in range(max(1, -(-seed.bit_length() // 32)))]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(v) for v in (entropy + [0] * 4)[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for value in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(value))
-    hashout = _hasher(0x8B51F9DD, 0x58F38DED)
-    words = [hashout(pool[i % 4]) for i in range(8)]
-    w = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-    return w[0] << 64 | w[1], w[2] << 64 | w[3]
-
-
-class _Rng:
-    """numpy.random.default_rng(seed), draw for draw, for the calls the suites make.
-
-    PCG64: a 128-bit LCG whose state is stepped before each output, and the
-    XSL-RR output (the two halves xored, rotated right by the top six bits).
-    random() is (x >> 11) * 2^-53; uniform(lo, hi) is lo + (hi - lo) * random();
-    integers(lo, hi), for 0 < hi - lo < 2^32, is Lemire's bounded draw on
-    32-bit halves of an output, low half first, the high half kept for the
-    next 32-bit draw.
-    """
-
-    def __init__(self, seed: int) -> None:
-        state, seq = _seed_sequence(seed)
-        self._inc = (seq << 1 | 1) & _M128
-        self._state = (self._inc + state) * _PCG_MULT + self._inc & _M128
-        self._half: int | None = None
-
-    def _next64(self) -> int:
-        self._state = state = self._state * _PCG_MULT + self._inc & _M128
-        x = (state >> 64 ^ state) & _M64
-        rot = state >> 122
-        return (x >> rot | x << (64 - rot)) & _M64
-
-    def _next32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        x = self._next64()
-        self._half = x >> 32
-        return x & _M32
-
-    def random(self) -> float:
-        return (self._next64() >> 11) * 2.0**-53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
-    def integers(self, lo: int, hi: int) -> int:
-        span = hi - lo
-        if not 0 < span <= _M32:
-            raise ValueError("integers needs 0 < hi - lo < 2^32")
-        if span == 1:
-            return lo
-        m = self._next32() * span
-        if m & _M32 < span:
-            threshold = (1 << 32) % span
-            while m & _M32 < threshold:
-                m = self._next32() * span
-        return lo + (m >> 32)
-
-
-def _random_dist(rng: _Rng, size: int) -> OutcomeDist:
+def _random_dist(rng: random.Random, size: int) -> OutcomeDist:
     # Strictly positive masses: the infinite-divergence paths get their own
-    # dedicated unit tests; sweeps here exercise the finite calculus.
+    # dedicated unit tests; sweeps here exercise the finite calculus.  fsum, as
+    # sum compensates only from Python 3.12 on and reports would differ by version.
     w = [rng.random() + 0.05 for _ in range(size)]
-    total = 0.0
-    for x in w:  # left to right, as numpy sums fewer than 8 terms; sum() compensates from 3.12
-        total += x
+    total = math.fsum(w)
     return OutcomeDist(tuple(range(size)), tuple(x / total for x in w))
 
 
-def _suite_divergence(seed: int) -> list[Case]:
-    rng = _Rng(seed)
+def _suite_divergence(rng: random.Random) -> list[Case]:
     trials = 250
     worst_neg = 0.0
     worst_mono = -math.inf
@@ -161,7 +58,7 @@ def _suite_divergence(seed: int) -> list[Case]:
     worst_mgf = 0.0
     worst_tri = -math.inf
     for _ in range(trials):
-        size = rng.integers(2, 7)
+        size = rng.randrange(2, 7)
         p = _random_dist(rng, size)
         q = _random_dist(rng, size)
         values = [renyi_divergence(p, q, a) for a in ALPHA_GRID]
@@ -175,7 +72,7 @@ def _suite_divergence(seed: int) -> list[Case]:
             joint = renyi_divergence(product(p, p2), product(q, q2), a)
             parts = renyi_divergence(p, q, a) + renyi_divergence(p2, q2, a)
             worst_add = max(worst_add, abs(joint - parts))
-        fn = {y: rng.integers(0, max(2, size - 1)) for y in p.outcomes}
+        fn = {y: rng.randrange(0, max(2, size - 1)) for y in p.outcomes}
         for a in ALPHA_GRID:
             worst_dp = max(
                 worst_dp,
@@ -217,8 +114,7 @@ def _suite_divergence(seed: int) -> list[Case]:
     ]
 
 
-def _suite_conversions(seed: int) -> list[Case]:
-    rng = _Rng(seed)
+def _suite_conversions(rng: random.Random) -> list[Case]:
     cases = []
     worst_exact = -math.inf
     worst_refined = -math.inf
@@ -283,7 +179,7 @@ def _suite_conversions(seed: int) -> list[Case]:
     return cases
 
 
-def _suite_group(seed: int) -> list[Case]:
+def _suite_group(rng: random.Random) -> list[Case]:
     worst = 0.0
     for k in (1, 2, 5):
         for sigma in (0.5, 1.0, 2.0):
@@ -305,7 +201,7 @@ def _suite_group(seed: int) -> list[Case]:
     return cases
 
 
-def _suite_mi(seed: int) -> list[Case]:
+def _suite_mi(rng: random.Random) -> list[Case]:
     eps = 0.8
     rho = 0.5 * eps * eps
     params = acct.ZcdpParams(0.0, rho)
@@ -337,11 +233,10 @@ def _suite_mi(seed: int) -> list[Case]:
     return cases
 
 
-def _suite_packing(seed: int) -> list[Case]:
-    rng = _Rng(seed)
+def _suite_packing(rng: random.Random) -> list[Case]:
     spaces = 40
     for _ in range(spaces):
-        size = rng.integers(2, 25)
+        size = rng.randrange(2, 25)
         m = [[rng.uniform(0.0, 2.0) for _ in range(size)] for _ in range(size)]
         m = [[(m[i][j] + m[j][i]) / 2.0 if i != j else 0.0 for j in range(size)] for i in range(size)]
         space = bounds.MetricPointSet.from_matrix(tuple(range(size)), m)
@@ -377,8 +272,7 @@ def _suite_packing(seed: int) -> list[Case]:
     return cases
 
 
-def _suite_appendix(seed: int) -> list[Case]:
-    rng = _Rng(seed)
+def _suite_appendix(rng: random.Random) -> list[Case]:
     cases = []
     rec = oracle.mcdp_postprocess_violation(1.0, 3.0, 2.0)
     cases.append(Case("thresholded_gaussian_violates", rec.violated, rec.lhs, rec.rhs))
@@ -406,7 +300,7 @@ def _suite_appendix(seed: int) -> list[Case]:
 
     failures = 0
     for _ in range(1000):
-        size = rng.integers(2, 7)
+        size = rng.randrange(2, 7)
         p = _random_dist(rng, size)
         q = _random_dist(rng, size)
         f = {y: rng.uniform(-1.0, 1.0) for y in p.outcomes}
@@ -428,6 +322,7 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 20240801) -> list[Case]:
+    """Run suite name on seeded_random(seed); group and mi draw nothing from it."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    return SUITES[name](seed)
+    return SUITES[name](oracle.seeded_random(seed))

@@ -49,7 +49,9 @@ PLAIN = {"entries": [e for e in MIXED["entries"] if e["kind"] in ("gaussian", "p
 # digit, so libm's last digits seldom reach the output.  The exact-Gaussian
 # delta curve and the verify suite conversions are left out, as their last
 # digits follow the platform's libm erfc and exp; so is the appendix
-# suite, whose digits follow libm alone.
+# suite, whose digits follow libm alone.  The pinned verify suites draw
+# from random.Random(seed), whose draws are the same on every supported
+# Python, and verify divergence normalizes its masses with math.fsum.
 OUTPUT_PINS = json.loads((Path(__file__).parent / "cli_output_pins.json").read_text())
 
 
@@ -650,16 +652,34 @@ class TestMiDemo:
     def test_rejects_large_k(self):
         assert main(["mi-demo", "--eps", "0.7", "--k", "12"]) == 2
 
+    def test_eps_past_exp_overflow_answers(self, capsys):
+        # The keep probability is 1.0 from eps ~ 37 on, so the mi values at
+        # 800, where e^eps overflows, are those at 709.
+        def mi_values(eps):
+            assert main(["mi-demo", "--eps", eps, "--k", "3"]) == 0
+            out = capsys.readouterr().out
+            return [word for word in out.split() if word.startswith("mi=")]
+
+        assert mi_values("800") == mi_values("709") != []
+
 
 class TestVerify:
-    # The other four suites are pinned byte for byte at the default seed, and
-    # the acceptance gate runs these two there; here they run at a second
-    # seed, so their random draws differ from the gate's.
-    @pytest.mark.parametrize("suite", ("conversions", "appendix"))
+    # The pins and the acceptance gate run each suite at the default seed,
+    # and divergence at four more; here the other suites run at ten more, so
+    # their verdicts do not hang on one draw of random.Random.
+    @pytest.mark.parametrize("suite", ("appendix", "conversions", "group", "mi", "packing"))
     def test_every_suite_passes(self, suite, capsys):
-        assert main(["verify", suite, "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        for seed in range(10):
+            assert main(["verify", suite, "--seed", str(seed)]) == 0, seed
+            out = capsys.readouterr().out
+            assert "PASS" in out and "FAIL" not in out
+
+    # random.Random(-n) draws what random.Random(n) draws, so every suite
+    # refuses a negative seed, including those that draw nothing.
+    @pytest.mark.parametrize("suite", ("appendix", "conversions", "divergence", "group", "mi", "packing"))
+    def test_negative_seed_is_usage_error(self, suite, capsys):
+        err = assert_usage_error(["verify", suite, "--seed", "-1"], capsys)
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_failing_case_gives_exit_one(self, monkeypatch, capsys):
         from cdpacct.verify import SUITES, Case

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -206,6 +207,26 @@ class TestRandomizedResponse:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             randomized_response(0.0)
+
+    # e^eps overflows just past log(max float) = 709.78...; the quotient is
+    # 1.0 long before, so both channels keep the bit surely beyond it.
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 36.0, 38.0, 709.0, math.log(sys.float_info.max)])
+    def test_keep_probability_is_the_exp_quotient(self, eps):
+        keep = math.exp(eps) / (1.0 + math.exp(eps))
+        assert randomized_response(eps)[0].probs == (keep, 1.0 - keep)
+        assert approx_randomized_response(eps, 0.0)[0].prob_of((0, BOT)) == keep
+
+    @pytest.mark.parametrize("eps", [math.nextafter(math.log(sys.float_info.max), math.inf), 800.0, 1e300])
+    def test_keep_probability_is_one_where_exp_overflows(self, eps):
+        assert randomized_response(eps)[0].probs == (1.0, 0.0)
+        assert approx_randomized_response(eps, 0.0)[0].prob_of((0, BOT)) == 1.0
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            randomized_response(eps)
+        with pytest.raises(ValueError, match="finite"):
+            approx_randomized_response(eps, 0.1)
 
 
 class TestApproxRandomizedResponse:

@@ -174,6 +174,11 @@ class TestDeltaExactGaussian:
         with pytest.raises(ValueError):
             delta_gaussian_mc(eta, eps, 10**4, seed=1)
 
+    def test_monte_carlo_refuses_negative_seed(self):
+        # random.Random(-3) draws what random.Random(3) draws.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+            delta_gaussian_mc(0.5, 1.0, 10**4, seed=-3)
+
     def test_monte_carlo_is_seeded(self):
         a = delta_gaussian_mc(0.5, 1.0, 10**4, seed=3)
         assert a == delta_gaussian_mc(0.5, 1.0, 10**4, seed=3)
@@ -392,6 +397,10 @@ class TestMcDivergence:
         b = mc_divergence_estimate(self.P, self.Q, 2.0, 50000, seed=3)
         assert a.estimate == b.estimate
         assert a.std_error == b.std_error
+
+    def test_refuses_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            mc_divergence_estimate(self.P, self.Q, 2.0, 10**4, seed=-1)
 
     def test_different_seeds_differ(self):
         a = mc_divergence_estimate(self.P, self.Q, 2.0, 50000, seed=3)
