@@ -106,7 +106,8 @@ def mi_bound(params: ZcdpParams, n: int, structure) -> float:
 
     structure is "general" (arbitrary correlations), "independent"
     (product prior), or an (m, l) tuple for m independent blocks of l
-    perfectly-correlatable entries each (n = m * l).
+    perfectly-correlatable entries each (n = m * l).  A bound past the
+    largest float raises ``OverflowError`` rather than returning inf.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -119,7 +120,10 @@ def mi_bound(params: ZcdpParams, n: int, structure) -> float:
     m, l = structure
     if m < 1 or l < 1 or m * l != n:
         raise ValueError(f"blocks structure needs n = m*l, got n={n}, (m,l)={structure}")
-    return m * (params.xi * l * (1.0 + math.log(l)) + params.rho * l * l)
+    bound = m * (params.xi * l * (1.0 + math.log(l)) + params.rho * l * l)
+    if bound == math.inf:
+        raise OverflowError(f"MI bound for n={n} overflows at xi={params.xi!r}, rho={params.rho!r}")
+    return bound
 
 
 def certify_zcdp(
@@ -131,17 +135,18 @@ def certify_zcdp(
     """Check D_alpha <= xi + rho*alpha over neighbor input pairs and the order grid.
 
     Adjacency defaults to Hamming distance 1 when inputs are equal-length
-    tuples, else all distinct pairs.  Infinite orders are skipped (the
-    bound is vacuous there unless rho = 0, in which case alpha = inf is
-    checked against xi).
+    tuples, else all distinct pairs.  The order +inf is skipped (the bound
+    is vacuous there unless rho = 0, in which case alpha = inf is checked
+    against xi); -inf is a bad order like any other below 1.
 
-    Each pair's masses, their logs and its privacy loss are computed in
-    one log pass per direction, and every order is read from them.  Verdicts and errors come in the same
-    order as with one ``renyi_divergence`` call per order: the first
-    violated order returns False, and a bad order raises ``ValueError``
-    when it is reached.  (``renyi_divergence`` clamps at 0, which cannot
-    change a verdict, since every bound is nonnegative.)  An empty order
-    grid, or a pair naming an input the channel lacks, raises ``ValueError``.
+    Each direction of a pair takes one log pass, whose three columns
+    (masses, their logs and the privacy losses) every order reads.
+    Verdicts and errors come in the same order as with one
+    ``renyi_divergence`` call per order: the first violated order returns
+    False, and a bad order raises ``ValueError`` when it is reached.
+    (``renyi_divergence`` clamps at 0, which cannot change a verdict, since
+    every bound is nonnegative.)  An empty order grid, or a pair naming an
+    input the channel lacks, raises ``ValueError``.
     """
     alphas = tuple(alphas)
     if not alphas:
@@ -156,7 +161,7 @@ def certify_zcdp(
         # undirected adjacency list is checked in both directions.
         forward, backward = _loss_pairs(da, db), _loss_pairs(db, da)
         for alpha in alphas:
-            if math.isinf(alpha):
+            if alpha == math.inf:
                 if params.rho > 0.0:
                     continue
                 bound = params.xi

@@ -102,17 +102,18 @@ def aligned_probs(p: OutcomeDist, q: OutcomeDist) -> tuple[float, ...]:
     return tuple(q.probs[index[y]] for y in p.outcomes)
 
 
-def _loss_pairs(p: OutcomeDist, q: OutcomeDist) -> list[tuple[float, float, float]]:
-    """(p(y), log p(y), log p(y) - log q(y)) over p's support: the one log pass of a pair.
+def _loss_pairs(p: OutcomeDist, q: OutcomeDist) -> tuple[list[float], list[float], list[float]]:
+    """Columns p(y), log p(y) and log p(y) - log q(y) over p's support: the one log pass of a pair.
 
-    The loss is +inf where q(y) = 0.  Every order reads log p(y) from here,
-    so a finite order's term log p(y) + (alpha - 1) * loss costs no log.
+    A loss is +inf where q(y) = 0, never -inf or NaN; every order reads log p(y) from here.
     """
-    return [
-        (pi, lp := math.log(pi), math.inf if qi == 0.0 else lp - math.log(qi))
-        for pi, qi in zip(p.probs, aligned_probs(p, q))
-        if pi > 0.0
-    ]
+    columns = masses, log_masses, losses = [], [], []
+    for pi, qi in zip(p.probs, aligned_probs(p, q)):
+        if pi > 0.0:
+            masses.append(pi)
+            log_masses.append(lp := math.log(pi))
+            losses.append(math.inf if qi == 0.0 else lp - math.log(qi))
+    return columns
 
 
 def logsumexp(terms: Sequence[float]) -> float:
@@ -126,21 +127,22 @@ def logsumexp(terms: Sequence[float]) -> float:
     return top + math.log1p(math.fsum([math.exp(t - top) for t in terms] + [-1.0]))
 
 
-def _divergence(records: Sequence[tuple[float, float, float]], order: RenyiOrder) -> ExtendedReal:
-    """Order-alpha divergence of (mass, log mass, loss) records with positive mass.
+def _divergence(columns: tuple[Sequence[float], ...], order: RenyiOrder) -> ExtendedReal:
+    """Order-alpha divergence of a loss pass's columns: masses, log masses and losses.
 
-    E[Z] at alpha = 1, the top loss at alpha = inf, and otherwise the
-    log-moment (1/(alpha-1)) * log E[e^((alpha-1) Z)] via log-sum-exp.
+    Masses are positive and losses finite or +inf.  E[Z] at alpha = 1, the
+    top loss at alpha = inf, else (1/(alpha-1)) * log E[e^((alpha-1) Z)] via log-sum-exp.
     """
     order = _check_order(order)
-    if any(math.isinf(l) for _, _, l in records):
+    masses, log_masses, losses = columns
+    if math.inf in losses:
         return math.inf
     if order == 1.0:
-        return math.fsum(m * l for m, _, l in records)
+        return math.fsum(m * l for m, l in zip(masses, losses))
     if math.isinf(order):
-        return max(l for _, _, l in records)
-    terms = [log_m + (order - 1.0) * l for _, log_m, l in records]
-    return logsumexp(terms) / (order - 1.0)
+        return max(losses)
+    a = order - 1.0
+    return logsumexp([log_m + a * l for log_m, l in zip(log_masses, losses)]) / a
 
 
 def renyi_divergence(p: OutcomeDist, q: OutcomeDist, order: RenyiOrder) -> ExtendedReal:
@@ -204,8 +206,8 @@ def privacy_loss_dist(p: OutcomeDist, q: OutcomeDist) -> PrivacyLossDist:
     Outcomes with p(y) = 0 are omitted; an outcome with p(y) > 0 and
     q(y) = 0 contributes loss +inf.
     """
-    records = _loss_pairs(p, q)
-    return PrivacyLossDist(tuple(l for _, _, l in records), tuple(m for m, _, _ in records))
+    masses, _, losses = _loss_pairs(p, q)
+    return PrivacyLossDist(losses, masses)
 
 
 def divergence_from_loss(z: PrivacyLossDist, order: RenyiOrder) -> ExtendedReal:
@@ -215,25 +217,21 @@ def divergence_from_loss(z: PrivacyLossDist, order: RenyiOrder) -> ExtendedReal:
     finite alpha > 1, E[Z] at alpha = 1, and the top of the support at
     alpha = inf.  Agrees with renyi_divergence on the generating pair.
     """
-    records = [(pr, math.log(pr), l) for l, pr in zip(z.losses, z.probs) if pr > 0.0]
-    return _divergence(records, order)
+    masses, losses = zip(*((pr, l) for l, pr in zip(z.losses, z.probs) if pr > 0.0))
+    return _divergence((masses, [math.log(m) for m in masses], losses), order)
 
 
 def pushforward(p: OutcomeDist, fn: Callable[[Hashable], Hashable] | Mapping) -> OutcomeDist:
     """Image of p under an outcome map; collided labels have their mass summed."""
     lookup = fn.__getitem__ if isinstance(fn, Mapping) else fn
-    order: list[Hashable] = []
-    mass: dict[Hashable, float] = {}
+    mass: dict[Hashable, float] = {}  # labels in order of first appearance
     for y, pr in zip(p.outcomes, p.probs):
         try:
             label = lookup(y)
         except KeyError:
             raise ValueError(f"map not defined on outcome {y!r}") from None
-        if label not in mass:
-            mass[label] = 0.0
-            order.append(label)
-        mass[label] += pr
-    return OutcomeDist(tuple(order), tuple(mass[l] for l in order))
+        mass[label] = mass.get(label, 0.0) + pr
+    return OutcomeDist(tuple(mass), tuple(mass.values()))
 
 
 def product(p1: OutcomeDist, p2: OutcomeDist) -> OutcomeDist:

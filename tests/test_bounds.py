@@ -156,6 +156,15 @@ class TestMiBounds:
         with pytest.raises(ValueError):
             mi_bound(ZcdpParams(0.0, 0.3, 1e-6), 4, "general")
 
+    def test_bound_past_the_floats_raises(self):
+        # rho = 5e307 is finite, but the general bound 9 rho is not.
+        with pytest.raises(OverflowError, match="overflows"):
+            mi_bound(ZcdpParams(0.0, 5e307), 3, "general")
+        with pytest.raises(OverflowError, match="overflows"):
+            mi_bound(ZcdpParams(1e308, 0.0), 2, (1, 2))
+        assert mi_bound(ZcdpParams(0.0, 5e307), 3, "independent") == 3 * 5e307
+        assert mi_bound(ZcdpParams(0.0, 5e305), 8, "general") == 64 * 5e305
+
 
 class TestCertification:
     def test_rr_channel_is_quadratic_zcdp(self):
@@ -206,6 +215,10 @@ class TestCertification:
             certify_zcdp(ch, tight, alphas=(0.5, 1.0))
         with pytest.raises(ValueError, match="order"):
             certify_zcdp(ch, ZcdpParams(0.0, 0.32), alphas=(1.0, 0.5))
+        # Only +inf is skipped (when rho > 0): -inf is a bad order for every budget.
+        for params in (ZcdpParams(0.0, 0.3), ZcdpParams(1.0, 0.0)):
+            with pytest.raises(ValueError, match="got -inf"):
+                certify_zcdp(rr_channel(0.7), params, alphas=(-math.inf,))
 
     def test_one_loss_pass_per_direction(self, monkeypatch):
         calls = []
@@ -253,7 +266,7 @@ def per_order_certify(channel, params, alphas):
     for a, b in itertools.combinations(channel.inputs, 2):
         da, db = channel.conditionals[a], channel.conditionals[b]
         for alpha in alphas:
-            if math.isinf(alpha):
+            if alpha == math.inf:
                 if params.rho > 0.0:
                     continue
                 bound = params.xi

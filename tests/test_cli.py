@@ -662,6 +662,13 @@ class TestMiDemo:
 
         assert mi_values("800") == mi_values("709") != []
 
+    def test_bound_past_the_floats_is_refused(self, capsys):
+        # rho = eps^2 / 2 = 5e307 is finite; the correlated bound 9 rho is not.
+        assert main(["mi-demo", "--eps", "1e154", "--k", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: arguments outside floating-point range (OverflowError)\n")
+        assert main(["mi-demo", "--eps", "1e153", "--k", "8"]) == 0
+        assert "correlated prior: mi=6.93147180560e-01 bound=3.20000000000e+307 ok\n" in capsys.readouterr().out
+
 
 class TestVerify:
     # The pins and the acceptance gate run each suite at the default seed,
