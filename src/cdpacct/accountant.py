@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
 
 
 # The value types are frozen dataclasses whose __init__ checks the arguments
@@ -182,18 +182,17 @@ def _log_ratio(x: float, d: float) -> float:
 def compose(entries: Sequence[ZcdpParams]) -> ZcdpParams:
     """Sequential composition: budgets add, failure probabilities form their exact union.
 
-    Returns (sum xi, sum rho, 1 - prod(1 - delta)), the union built up as
-    s + (1 - s) delta over ascending deltas, which does not cancel.  Exact
-    sums and the sort make the result permutation-invariant.
+    Returns (sum xi, sum rho, 1 - prod(1 - delta)), the union taken as
+    -expm1(fsum(log1p(-delta))): each log is one rounding off and fsum adds
+    them exactly, so for any number of entries and in any order the union
+    lies within a few roundings of the exact one.  A delta of 1 gives 1.
     """
     if not entries:
         raise ValueError("compose needs at least one entry")
     xi = math.fsum([e.xi for e in entries])
     rho = math.fsum([e.rho for e in entries])
-    union = 0.0
-    for delta in sorted([e.delta_approx for e in entries]):
-        union += (1.0 - union) * delta
-    return ZcdpParams(xi, rho, union)
+    logs = math.fsum([math.log1p(-e.delta_approx) if e.delta_approx < 1.0 else -math.inf for e in entries])
+    return ZcdpParams(xi, rho, -math.expm1(logs) + 0.0)  # +0.0 folds -0.0 into 0.0
 
 
 # Largest group size: group_privacy sums the harmonic number term by term.
@@ -463,7 +462,7 @@ def eps_of_delta(params: ZcdpParams, delta: float, method: str = "refined") -> f
         lo, step, atol = xi + rho, max(1.0, math.sqrt(rho)), 1e-10
     else:
         lo, step, atol = 0.0, 1.0, 1e-12
-    return _search(f, prime, lo, lo, step, 2.0, atol, (lo, simple), 1.0)
+    return _search(f, prime, lo, lo, step, 2.0, atol, (lo, simple))
 
 
 def _rho_for_dp(eps: float, delta: float) -> float:
@@ -477,8 +476,7 @@ def _rho_for_dp(eps: float, delta: float) -> float:
     log_inv = _log_ratio(1.0, delta)
     rho0 = (eps / (math.sqrt(log_inv + eps) + math.sqrt(log_inv))) ** 2
     return _search(
-        lambda rho: _refined(0.0, rho, eps), delta, eps, 0.0, eps, 0.5, 0.0,
-        (rho0, min(eps, 1.25 * rho0)), 0.0,
+        lambda rho: _refined(0.0, rho, eps), delta, eps, 0.0, eps, 0.5, 0.0, (rho0, min(eps, 1.25 * rho0))
     )
 
 
@@ -490,7 +488,7 @@ _WINDOW = 1e-12
 
 def _search(
     f: Callable[[float], float], target: float, end: float, base: float, step: float,
-    factor: float, atol: float, seeds: tuple[float, float], floor: float,
+    factor: float, atol: float, seeds: tuple[float, float],
 ) -> float:
     """The x nearest end (to atol, or one ulp where wider) with f(x) <= target, for monotone f.
 
@@ -502,17 +500,17 @@ def _search(
 
     Each decision f(x) <= target comes from one window around a root
     estimate r, from secant steps on sqrt(-log f) = sqrt(-log target) from
-    the seeds: f is called inside (r - w, r + w), w = _WINDOW * max(|r|,
-    floor), and elsewhere the nearer window end decides.  A first seed
-    equal to end decides end before any other call.  The answer and the
-    exceptions are f's if f is monotone at separations >= w and raises at
-    no point the window decides.  f decides every point if the estimate
-    takes over 30 steps, raises ArithmeticError or ValueError, or leaves
-    f's domain, the span of the scan: [base, end] for a falling scan
-    (factor < 1) and [base, inf) for a rising one, or if both window ends
-    lie on one side of target.
+    the seeds: f is called inside (r - w, r + w), w = _WINDOW * max(|r|, 1)
+    for a rising scan and _WINDOW * |r| for a falling one, and elsewhere
+    the nearer window end decides.  A first seed equal to end decides end
+    before any other call.  The answer and the exceptions are f's if f is
+    monotone at separations >= w and raises at no point the window
+    decides.  f decides every point if the estimate takes over 30 steps,
+    raises ArithmeticError or ValueError, or leaves f's domain, the span of
+    the scan: [base, end] for a falling scan (factor < 1) and [base, inf)
+    for a rising one, or if both window ends lie on one side of target.
     """
-    hi = end if factor < 1.0 else math.inf
+    hi, floor = (end, 0.0) if factor < 1.0 else (math.inf, 1.0)
 
     def checked(x: float) -> float:
         if not base <= x <= hi:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
 
 from .accountant import ZcdpParams
 from .divergence import (
@@ -388,6 +388,7 @@ def purify(
         if any(not 0.0 <= c <= 1.0 for c in vec):
             raise ValueError("query values must lie in [0, 1]")
         query[atom] = vec
+    measure = _norm_fn(norm, dim)  # an unknown norm is refused before any multiset is summed
 
     states = math.comb(n_prime + len(universe) - 1, len(universe) - 1)
     if states > MAX_ENUM_STATES:
@@ -402,7 +403,6 @@ def purify(
             seen.add(vec)
             means.append(vec)
 
-    measure = _norm_fn(norm, dim)
     space = MetricPointSet(
         tuple(means), lambda a, b: measure([u - v for u, v in zip(a, b)])
     )

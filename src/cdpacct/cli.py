@@ -16,17 +16,15 @@ scientific notation, so identical inputs give byte-identical files.
 main parses a command's argv with that command's parser alone, and a
 delta_of_eps curve takes one accountant call for its whole grid.  The
 library modules imported below run on first use (see the package
-docstring), so a command runs only the modules it calls.
+docstring), and json is imported where a ledger or report needs it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
-from typing import NoReturn
 
 from . import accountant as acct
 from . import bounds, mechanisms
@@ -82,6 +80,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def load_ledger(path: str) -> list[acct.LedgerEntry]:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -279,11 +279,13 @@ def cmd_mi_demo(args: argparse.Namespace) -> int:
 
 def _json_number(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
-        return json.dumps(fmt(x))
+        return '"' + fmt(x) + '"'
     return fmt(x)
 
 
 def _verify_report(suite: str, cases: list) -> str:
+    import json
+
     rows = []
     for c in cases:
         rows.append(
@@ -331,7 +333,7 @@ class _Parser(argparse.ArgumentParser):
 
     commands: dict[str, argparse.ArgumentParser]  # set on the top-level parser by build_parser
 
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str):
         message = message.replace("\n", "\\n")
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 

@@ -11,14 +11,8 @@ than a numeric limit.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
-
-# Order of a Renyi divergence: float >= 1, math.inf selects max divergence.
-RenyiOrder = float
-
-# A divergence value: finite float or +inf, never NaN.
-ExtendedReal = float
 
 # Probability mass must sum to 1 within this tolerance or be rejected.
 PROB_TOL = 1e-9
@@ -127,7 +121,7 @@ def logsumexp(terms: Sequence[float]) -> float:
     return top + math.log1p(math.fsum([math.exp(t - top) for t in terms] + [-1.0]))
 
 
-def _divergence(columns: tuple[Sequence[float], ...], order: RenyiOrder) -> ExtendedReal:
+def _divergence(columns: tuple[Sequence[float], ...], order: float) -> float:
     """Order-alpha divergence of a loss pass's columns: masses, log masses and losses.
 
     Masses are positive and losses finite or +inf.  E[Z] at alpha = 1, the
@@ -145,7 +139,7 @@ def _divergence(columns: tuple[Sequence[float], ...], order: RenyiOrder) -> Exte
     return logsumexp([log_m + a * l for log_m, l in zip(log_masses, losses)]) / a
 
 
-def renyi_divergence(p: OutcomeDist, q: OutcomeDist, order: RenyiOrder) -> ExtendedReal:
+def renyi_divergence(p: OutcomeDist, q: OutcomeDist, order: float) -> float:
     """Renyi divergence D_alpha(p || q) in nats.
 
     Order 1 is the KL divergence, order inf the max divergence
@@ -210,7 +204,7 @@ def privacy_loss_dist(p: OutcomeDist, q: OutcomeDist) -> PrivacyLossDist:
     return PrivacyLossDist(losses, masses)
 
 
-def divergence_from_loss(z: PrivacyLossDist, order: RenyiOrder) -> ExtendedReal:
+def divergence_from_loss(z: PrivacyLossDist, order: float) -> float:
     """Renyi divergence recovered from a privacy-loss distribution.
 
     Uses the moment identity (1/(alpha-1)) * log E[e^((alpha-1) Z)] for

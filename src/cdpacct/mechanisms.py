@@ -98,10 +98,12 @@ def gaussian_renyi(shift: float, sigma: float, alpha: float) -> float:
 
 
 def calibrate_sigma_for_rho(sensitivity: float, rho: float) -> float:
-    """Noise scale achieving a target concentration parameter exactly, if it is a normal float."""
+    """Least float >= sensitivity / sqrt(2 rho) whose gaussian_rho meets rho, if it is a normal float."""
     if not 0.0 < sensitivity < math.inf or not 0.0 < rho < math.inf:
         raise ValueError("sensitivity and rho must be positive and finite")
     sigma = sensitivity / math.sqrt(2.0 * rho)
+    while sys.float_info.min <= sigma < math.inf and _gaussian_rho(sensitivity, sigma) > rho:
+        sigma = math.nextafter(sigma, math.inf)
     if not sys.float_info.min <= sigma < math.inf:
         raise ValueError(f"sigma = {sigma!r} lies outside the normal floating-point range")
     return sigma
@@ -111,8 +113,9 @@ def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> floa
     """Smallest noise scale whose refined (eps, delta) conversion meets the target.
 
     That is calibrate_sigma_for_rho at the largest admissible rho, which
-    accountant._rho_for_dp finds to one ulp; working on rho makes the result
-    exactly scale-invariant in the sensitivity.
+    accountant._rho_for_dp finds to one ulp, so sigma's refined delta meets
+    the target too.  For sensitivity k, sigma is within a few ulps of k
+    times the sigma for sensitivity 1, as both round one real number.
     """
     if not 0.0 < sensitivity < math.inf or not 0.0 < eps < math.inf:
         raise ValueError("sensitivity and eps must be positive and finite")

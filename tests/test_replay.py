@@ -161,7 +161,7 @@ def test_an_estimate_outside_the_domain_gives_back_f():
         return math.exp(-abs(x))
 
     target = math.exp(-1.0)
-    args = (f, target, 0.5, 0.5, 1.0, 2.0, 1e-12, (4.0, 9.0), 1.0)
+    args = (f, target, 0.5, 0.5, 1.0, 2.0, 1e-12, (4.0, 9.0))
     assert acct._search(*args) == scan_and_bisect(*args) == 1.0
 
 
@@ -172,7 +172,7 @@ def test_an_estimate_past_the_end_of_a_falling_scan_gives_back_f():
     def f(x):
         return x if x <= 1.0 else 2.0 - x
 
-    args = (f, 0.25, 1.0, 0.0, 1.0, 0.5, 0.0, (1.5, 1.6), 0.0)
+    args = (f, 0.25, 1.0, 0.0, 1.0, 0.5, 0.0, (1.5, 1.6))
     assert acct._search(*args) == scan_and_bisect(*args) == 0.25
 
 

@@ -130,11 +130,21 @@ print(json.dumps(ran()))
 """
 
 
-def run_probe(probe, *args):
+# Runs convert without site, whose .pth files may import anything, and
+# prints which of typing and json it loaded.
+NO_SITE_CONVERT_PROBE = """
+import sys
+from cdpacct import cli
+assert cli.main(["convert", "--rho", "0.5", "--delta", "1e-6"]) == 0
+print(" ".join(["loaded:"] + [m for m in ("typing", "json") if m in sys.modules]))
+"""
+
+
+def run_probe(probe, *args, flags=()):
     src = str(Path(cdpacct.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", probe, *args],
+        [sys.executable, *flags, "-c", probe, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -158,6 +168,10 @@ def test_cli_commands_load_neither_numpy_nor_scipy(ledger):
 
 def ran_after_each_step(probe, *args):
     return [json.loads(line) for line in run_probe(probe, *args).splitlines()]
+
+
+def test_convert_loads_neither_typing_nor_json():
+    assert run_probe(NO_SITE_CONVERT_PROBE, flags=("-S",)).splitlines()[-1] == "loaded:"
 
 
 def test_import_runs_no_library_module_but_registers_each():
