@@ -182,17 +182,18 @@ def _log_ratio(x: float, d: float) -> float:
 def compose(entries: Sequence[ZcdpParams]) -> ZcdpParams:
     """Sequential composition: budgets add, failure probabilities form their exact union.
 
-    Returns (sum xi, sum rho, 1 - prod(1 - delta)), the union taken as
-    -expm1(fsum(log1p(-delta))): each log is one rounding off and fsum adds
-    them exactly, so for any number of entries and in any order the union
-    lies within a few roundings of the exact one.  A delta of 1 gives 1.
+    Returns (sum xi, sum rho, 1 - prod(1 - delta)), the union built up as
+    s + (1 - s) delta over ascending deltas, which does not cancel.  Exact
+    sums and the sort make the result permutation-invariant.
     """
     if not entries:
         raise ValueError("compose needs at least one entry")
     xi = math.fsum([e.xi for e in entries])
     rho = math.fsum([e.rho for e in entries])
-    logs = math.fsum([math.log1p(-e.delta_approx) if e.delta_approx < 1.0 else -math.inf for e in entries])
-    return ZcdpParams(xi, rho, -math.expm1(logs) + 0.0)  # +0.0 folds -0.0 into 0.0
+    union = 0.0
+    for delta in sorted([e.delta_approx for e in entries]):
+        union += (1.0 - union) * delta
+    return ZcdpParams(xi, rho, union)
 
 
 # Largest group size: group_privacy sums the harmonic number term by term.
@@ -476,7 +477,8 @@ def _rho_for_dp(eps: float, delta: float) -> float:
     log_inv = _log_ratio(1.0, delta)
     rho0 = (eps / (math.sqrt(log_inv + eps) + math.sqrt(log_inv))) ** 2
     return _search(
-        lambda rho: _refined(0.0, rho, eps), delta, eps, 0.0, eps, 0.5, 0.0, (rho0, min(eps, 1.25 * rho0))
+        lambda rho: _refined(0.0, rho, eps), delta, eps, 0.0, eps, 0.5, 0.0,
+        (rho0, min(eps, 1.25 * rho0)),
     )
 
 

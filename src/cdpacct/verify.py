@@ -63,7 +63,9 @@ def _suite_divergence(rng: random.Random) -> list[Case]:
         q = _random_dist(rng, size)
         values = [renyi_divergence(p, q, a) for a in ALPHA_GRID]
         worst_neg = max(worst_neg, -min(values))
-        worst_mono = max(worst_mono, max(lo - hi for lo, hi in zip(values, values[1:])))
+        worst_mono = max(
+            worst_mono, max(lo - hi for lo, hi in zip(values, values[1:]))
+        )
         p2 = _random_dist(rng, size)
         q2 = _random_dist(rng, size)
         others = [renyi_divergence(p2, q2, a) for a in ALPHA_GRID]
