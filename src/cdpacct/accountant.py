@@ -278,9 +278,9 @@ def _delta_past_squares(xi: float, rho: float, eps: float, refined: bool) -> flo
     (d / (2 sqrt(rho)))**2, since d**2 may overflow or be subnormal, and
     the fourth factor's root as hypot(1 + a, 2 / sqrt(pi rho)), since
     (1 + a)**2 may overflow and 4 / (pi rho) does, without raising, below
-    rho = 7e-309, where the kernel's fourth factor is 2 / inf = 0.  The eps
-    and rho searches call the kernels themselves and still raise
-    OverflowError at a step where a square overflows.
+    rho = 7e-309, where the kernel's fourth factor is 2 / inf = 0.  The rho
+    search decides on it too; the eps search calls the kernels themselves
+    and still raises OverflowError at a step where a square overflows.
     """
     d = eps - xi - rho
     try:
@@ -472,12 +472,15 @@ def _rho_for_dp(eps: float, delta: float) -> float:
     The refined delta increases in rho.  One _search tries rho = eps, halves
     rho from eps until delta is met and bisects to one ulp, with its secant
     seeded at the simple conversion's root rho0 = (sqrt(L + eps) -
-    sqrt(L))^2, L = ln(1/delta), at most the refined root.
+    sqrt(L))^2, L = ln(1/delta), at most the refined root.  Each decision
+    reads _delta_past_squares, the delta' every conversion reads, so the
+    rho meets delta there too, also where the kernel's floats give out;
+    where no positive float rho does, _search raises ValueError.
     """
     log_inv = _log_ratio(1.0, delta)
     rho0 = (eps / (math.sqrt(log_inv + eps) + math.sqrt(log_inv))) ** 2
     return _search(
-        lambda rho: _refined(0.0, rho, eps), delta, eps, 0.0, eps, 0.5, 0.0,
+        lambda rho: _delta_past_squares(0.0, rho, eps, True), delta, eps, 0.0, eps, 0.5, 0.0,
         (rho0, min(eps, 1.25 * rho0)),
     )
 

@@ -97,6 +97,10 @@ def load_ledger(path: str) -> list[acct.LedgerEntry]:
         doc = json.loads(raw, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_USAGE, f"{path}:{exc.lineno}: ledger is not valid JSON: {exc.msg}")
+    except RecursionError:
+        raise CliError(EXIT_USAGE, f"{path}: ledger is nested too deeply to parse")
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise CliError(EXIT_USAGE, f"{path}: ledger holds an integer literal with too many digits")
     if not isinstance(doc, dict) or "entries" not in doc:
         raise CliError(EXIT_USAGE, f"{path}: ledger must be an object with an 'entries' list")
     items = doc["entries"]
@@ -412,7 +416,6 @@ def main(argv: list[str] | None = None) -> int:
         args, extras = command.parse_known_args(argv[1:])
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
     try:
         return args.fn(args)
     except CliError as exc:

@@ -113,9 +113,11 @@ def calibrate_sigma_for_dp(sensitivity: float, eps: float, delta: float) -> floa
     """Smallest noise scale whose refined (eps, delta) conversion meets the target.
 
     That is calibrate_sigma_for_rho at the largest admissible rho, which
-    accountant._rho_for_dp finds to one ulp, so sigma's refined delta meets
-    the target too.  For sensitivity k, sigma is within a few ulps of k
-    times the sigma for sensitivity 1, as both round one real number.
+    accountant._rho_for_dp finds to one ulp on the delta that
+    zcdp_to_dp_refined gives, so sigma's refined delta meets the target
+    too.  ValueError where no float rho meets it.  For sensitivity k, sigma
+    is within a few ulps of k times the sigma for sensitivity 1, as both
+    round one real number.
     """
     if not 0.0 < sensitivity < math.inf or not 0.0 < eps < math.inf:
         raise ValueError("sensitivity and eps must be positive and finite")

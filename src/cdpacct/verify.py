@@ -313,7 +313,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 20240801) -> list[Case]:
+def run_suite(name: str, seed: int) -> list[Case]:
     """Run suite name on seeded_random(seed); group and mi draw nothing from it."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")

@@ -269,6 +269,12 @@ class TestCompose:
                 {"entries": [{"kind": "gaussian", "params": {"sensitivity": 1e150, "sigma": 1e-150}}]},
                 "arguments outside floating-point range (OverflowError)",
             ),
+            pytest.param("[" * 100_000, "PATH: ledger is nested too deeply to parse", id="nesting"),
+            pytest.param(
+                '{"entries": [' + "1" * 5000 + "]}",
+                "PATH: ledger holds an integer literal with too many digits",
+                id="digits",
+            ),
         ],
     )
     def test_each_refusal_is_its_own_line(self, doc, line, tmp_path, capsys):

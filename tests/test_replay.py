@@ -12,7 +12,7 @@ import random
 import pytest
 
 import cdpacct.accountant as acct
-from cdpacct import ZcdpParams, calibrate_sigma_for_dp, eps_for_delta, eps_of_delta
+from cdpacct import ZcdpParams, calibrate_sigma_for_dp, eps_for_delta, eps_of_delta, zcdp_to_dp_refined
 
 
 def outcome(fn, *args):
@@ -148,9 +148,35 @@ class TestSameAnswersAsThePlainSearch:
         assert plain(eps_of_delta, params, delta) is OverflowError
 
     @pytest.mark.parametrize("eps", [2.7e154, 1e200, 1.7e308])
-    def test_calibration_overflow_raises_as_before(self, eps, plain):
-        assert outcome(calibrate_sigma_for_dp, 1.0, eps, 1e-6) is OverflowError
-        assert plain(calibrate_sigma_for_dp, 1.0, eps, 1e-6) is OverflowError
+    def test_calibration_past_the_squares_meets_its_target(self, eps, plain):
+        # The kernel's square of eps - rho overflows at some step of the
+        # search; the rho search decides on _delta_past_squares, which answers.
+        sigma = calibrate_sigma_for_dp(1.0, eps, 1e-6)
+        assert sigma == plain(calibrate_sigma_for_dp, 1.0, eps, 1e-6)
+        assert meets_its_target(sigma, eps, 1e-6)
+
+
+def meets_its_target(sigma, eps, delta):
+    """Whether a unit-sensitivity Gaussian of scale sigma has refined delta <= delta at eps."""
+    return zcdp_to_dp_refined(ZcdpParams(0.0, acct._gaussian_rho(1.0, sigma)), eps) <= delta
+
+
+def test_calibration_at_a_tiny_eps_meets_its_target_or_refuses():
+    # Below rho ~ 7e-309 the kernel's fourth factor is 2 / inf = 0, so a
+    # search deciding on the kernel took a rho whose true delta was far
+    # above the target.  Where no float rho meets it, ValueError.
+    rng = random.Random(7009)
+    refused = 0
+    for i in range(1000):
+        eps = log_uniform(rng, -320, -100)
+        delta = log_uniform(rng, -12, -2) if i % 2 == 0 else log_uniform(rng, -300, -0.001)
+        try:
+            sigma = calibrate_sigma_for_dp(1.0, eps, delta)
+        except ValueError:
+            refused += 1
+            continue
+        assert meets_its_target(sigma, eps, delta), (eps, delta, sigma)
+    assert refused < 500
 
 
 def test_an_estimate_outside_the_domain_gives_back_f():
