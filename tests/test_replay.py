@@ -148,7 +148,7 @@ class TestSameAnswersAsThePlainSearch:
         assert plain(eps_of_delta, params, delta) is OverflowError
 
     @pytest.mark.parametrize("eps", [2.7e154, 1e200, 1.7e308])
-    def test_calibration_past_the_squares_meets_its_target(self, eps, plain):
+    def test_calibration_past_the_squares(self, eps, plain):
         # The kernel's square of eps - rho overflows at some step of the
         # search; the rho search decides on _delta_past_squares, which answers.
         sigma = calibrate_sigma_for_dp(1.0, eps, 1e-6)
